@@ -34,7 +34,6 @@ from .engine import (
     Status,
     TraceRecord,
     finite_termination_search,
-    rc_sinkhorn,
     scaling_invariance_check,
     sinkhorn,
     termination_length_2x2,
@@ -45,6 +44,7 @@ from .matrices import (
     DiagonalScaling,
     DimensionError,
     MarginTarget,
+    NonFiniteEntryError,
     NonPositiveEntryError,
     PositiveMatrix,
     RegimeError,

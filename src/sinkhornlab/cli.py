@@ -28,6 +28,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,17 +51,10 @@ from .engine import (
     StartSide,
     Status,
     finite_termination_search,
-    rc_sinkhorn,
     sinkhorn,
     trace_csv,
 )
-from .matrices import (
-    DimensionError,
-    MarginTarget,
-    NonPositiveEntryError,
-    PositiveMatrix,
-    RegimeError,
-)
+from .matrices import MarginTarget, PositiveMatrix
 from .numerics import format_rational, parse_rational
 
 TOLERANCE_ENV_VAR = "SINKHORNLAB_TOLERANCE"
@@ -72,16 +66,25 @@ class CliError(ValueError):
     """Bad input or inconsistent flags; maps to exit code 1."""
 
 
+def _parse_scalar(text: str, exact: bool):
+    """One number given on the command line: a Fraction, or a float
+    unless exact. A value beyond float range is a CliError."""
+    q = parse_rational(text)
+    if exact:
+        return q
+    try:
+        return float(q)
+    except OverflowError as exc:
+        raise CliError(f"number out of float range: {text!r}") from exc
+
+
 def _parse_inline(text: str, exact: bool) -> PositiveMatrix:
     s = _ROW_BRACKETS.sub(";", text.strip())
     s = s.replace("[", "").replace("]", "")
     rows = [r for r in s.split(";") if r.strip()]
     if not rows:
         raise CliError(f"empty matrix: {text!r}")
-    parsed = [[parse_rational(e) for e in row.split(",")] for row in rows]
-    if exact:
-        return PositiveMatrix(parsed)
-    return PositiveMatrix([[float(x) for x in row] for row in parsed])
+    return PositiveMatrix([[_parse_scalar(e, exact) for e in row.split(",")] for row in rows])
 
 
 def read_matrix(source: str, exact: bool) -> PositiveMatrix:
@@ -100,48 +103,47 @@ def read_matrix(source: str, exact: bool) -> PositiveMatrix:
     return _parse_inline(source, exact)
 
 
-def _parse_targets(row_text: str, col_text: str, exact: bool) -> MarginTarget:
-    rows = [parse_rational(x) for x in row_text.split(",")]
-    cols = [parse_rational(x) for x in col_text.split(",")]
-    if not exact:
-        rows = [float(x) for x in rows]
-        cols = [float(x) for x in cols]
-    return MarginTarget(rows, cols)
-
-
-def _fmt(x) -> str:
-    return format_rational(x) if isinstance(x, Fraction) else repr(float(x))
-
-
-def _fmt_matrix(M: PositiveMatrix, indent: str = "  ") -> str:
-    cells = [[_fmt(x) for x in row] for row in M.entries]
-    widths = [max(len(cells[i][j]) for i in range(M.rows)) for j in range(M.cols)]
-    return "\n".join(
-        indent + "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        for row in cells
-    )
-
-
-def _matrix_inline(M: PositiveMatrix) -> str:
-    return ";".join(",".join(_fmt(x) for x in row) for row in M.entries)
-
+# Human lines are rendered from the values of the JSON result, so each
+# exact rational is converted to text once: the accumulated diagonals of
+# a 64-step exact run hold thousands of digits.
 
 def _json_scalar(x):
     return format_rational(x) if isinstance(x, Fraction) else float(x)
 
 
-def _json_rows(M: PositiveMatrix):
-    return M.to_json_obj()["rows"]
+def _text(v) -> str:
+    """Human form of a JSON scalar: 'p/q' strings as they are, floats by repr."""
+    return v if isinstance(v, str) else repr(v)
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _fmt_diag(values) -> str:
+    return f"diag({', '.join(map(_text, values))})"
+
+
+def _fmt_matrix(rows) -> str:
+    cells = [[_text(v) for v in row] for row in rows]
+    widths = [max(map(len, col)) for col in zip(*cells)]
+    return "\n".join(
+        "  " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+        for row in cells
+    )
+
+
+def _matrix_inline(rows) -> str:
+    return ";".join(",".join(map(_text, row)) for row in rows)
+
+
+def _emit(fmt: str, obj: dict, lines: list[str]) -> None:
+    """Print a result as --format asks: the JSON object or the human lines."""
+    if fmt == "json":
+        print(json.dumps(obj, indent=2))
+    else:
+        print("\n".join(lines))
 
 
 def _resolve_tolerance(args, exact: bool) -> float | None:
-    tol = getattr(args, "tol", None)
-    if tol is not None:
-        return tol
+    if args.tol is not None:
+        return args.tol
     if not exact and TOLERANCE_ENV_VAR in os.environ:
         try:
             return float(os.environ[TOLERANCE_ENV_VAR])
@@ -153,10 +155,17 @@ def _resolve_tolerance(args, exact: bool) -> float | None:
 
 
 def _iteration_config(args, exact: bool) -> IterationConfig:
+    target = None
+    if getattr(args, "row_targets", None) is not None:
+        target = MarginTarget(
+            [_parse_scalar(x, exact) for x in args.row_targets.split(",")],
+            [_parse_scalar(x, exact) for x in args.col_targets.split(",")],
+        )
     return IterationConfig(
-        start_side=StartSide.COLUMN_FIRST if args.start_side == "column" else StartSide.ROW_FIRST,
+        start_side=StartSide(args.start_side),
         max_steps=args.max_steps,
         tolerance=_resolve_tolerance(args, exact),
+        margin_target=target,
     )
 
 
@@ -168,53 +177,41 @@ def _status_line(res: SinkhornResult) -> str:
     return f"max steps reached after {res.steps_taken} steps"
 
 
-def _render_scale(res: SinkhornResult, mode: str, fmt: str, command: str) -> int:
-    if fmt == "json":
-        _emit_json(
-            {
-                "command": command,
-                "mode": mode,
-                "status": res.status.value,
-                "steps": res.steps_taken,
-                "limit": {"rows": _json_rows(res.limit)},
-                "left": [_json_scalar(x) for x in res.left_accum.diag],
-                "right": [_json_scalar(x) for x in res.right_accum.diag],
-            }
-        )
-    else:
-        print(f"mode: {mode}")
-        print(f"status: {_status_line(res)}")
-        print("limit:")
-        print(_fmt_matrix(res.limit))
-        print(f"left scaling:  diag({', '.join(_fmt(x) for x in res.left_accum.diag)})")
-        print(f"right scaling: diag({', '.join(_fmt(x) for x in res.right_accum.diag)})")
+def cmd_scale(args) -> int:
+    """scale and rc-scale: rc-scale carries --row-targets/--col-targets."""
+    A = read_matrix(args.matrix, args.exact)
+    res = sinkhorn(A, _iteration_config(args, A.exact))
+    mode = "exact" if A.exact else "approximate"
+    obj = {
+        "command": args.command,
+        "mode": mode,
+        "status": res.status.value,
+        "steps": res.steps_taken,
+        "limit": res.limit.to_json_obj(),
+        "left": [_json_scalar(x) for x in res.left_accum.diag],
+        "right": [_json_scalar(x) for x in res.right_accum.diag],
+    }
+    lines = [
+        f"mode: {mode}",
+        f"status: {_status_line(res)}",
+        "limit:",
+        _fmt_matrix(obj["limit"]["rows"]),
+        f"left scaling:  {_fmt_diag(obj['left'])}",
+        f"right scaling: {_fmt_diag(obj['right'])}",
+    ]
+    _emit(args.format, obj, lines)
     return 0 if res.status in (Status.TERMINATED_FINITE, Status.CONVERGED) else 2
 
 
-def cmd_scale(args) -> int:
-    A = read_matrix(args.matrix, args.exact)
-    cfg = _iteration_config(args, A.exact)
-    res = sinkhorn(A, cfg)
-    return _render_scale(res, "exact" if A.exact else "approximate", args.format, "scale")
-
-
-def cmd_rc_scale(args) -> int:
-    A = read_matrix(args.matrix, args.exact)
-    target = _parse_targets(args.row_targets, args.col_targets, A.exact)
-    cfg = _iteration_config(args, A.exact)
-    res = rc_sinkhorn(A, target, cfg)
-    return _render_scale(res, "exact" if A.exact else "approximate", args.format, "rc-scale")
-
-
-def _render_verdict(v: TerminationClass) -> None:
-    length = "infinite" if v.length is None else f"L = {v.length}"
-    print(f"verdict: {v.variant.value} ({length})")
-    print(f"start side: {v.start_side.value}")
-    if v.params:
-        print("parameters: " + ", ".join(f"{k} = {_fmt(val)}" for k, val in v.params.items()))
-    if v.limit is not None:
-        print("limit:")
-        print(_fmt_matrix(v.limit))
+def _verdict_lines(v: dict) -> list[str]:
+    """Human lines of a verdict's JSON form."""
+    length = "infinite" if v["length"] is None else f"L = {v['length']}"
+    lines = [f"verdict: {v['verdict']} ({length})", f"start side: {v['start_side']}"]
+    if v["params"]:
+        lines.append("parameters: " + ", ".join(f"{k} = {val}" for k, val in v["params"].items()))
+    if v["limit"] is not None:
+        lines += ["limit:", _fmt_matrix(v["limit"]["rows"])]
+    return lines
 
 
 def _verdict_json(v: TerminationClass):
@@ -223,7 +220,7 @@ def _verdict_json(v: TerminationClass):
         "length": v.length,
         "start_side": v.start_side.value,
         "params": {k: format_rational(val) for k, val in v.params.items()},
-        "limit": None if v.limit is None else {"rows": _json_rows(v.limit)},
+        "limit": None if v.limit is None else v.limit.to_json_obj(),
     }
 
 
@@ -252,47 +249,33 @@ def cmd_classify(args) -> int:
             f"(got {A.rows}x{A.cols}); whether larger matrices admit finite "
             f"termination bounds is an open problem -- try 'search' instead"
         )
-    side = StartSide.COLUMN_FIRST if args.start_side == "column" else StartSide.ROW_FIRST
-    note = "note: decimal entries were converted to exact rationals" if converted else None
+    lines = ["note: decimal entries were converted to exact rationals"] if converted else []
 
     if args.both_orders:
         comparison = classify_both_orders(A)
-        if args.format == "json":
-            obj = {
-                "command": "classify",
-                "column_first": _verdict_json(comparison.column_first),
-                "row_first": _verdict_json(comparison.row_first),
-                "step_difference": comparison.step_difference,
-            }
-            if comparison.column_first.variant is Termination.INFINITE:
-                obj["closed_form"] = _closed_form_note(A)[1]
-            _emit_json(obj)
+        obj = {
+            "column_first": _verdict_json(comparison.column_first),
+            "row_first": _verdict_json(comparison.row_first),
+            "step_difference": comparison.step_difference,
+        }
+        for v in (obj["row_first"], obj["column_first"]):
+            lines += _verdict_lines(v) + [""]
+        if comparison.step_difference is not None:
+            lines.append(f"step difference |N1 - N2| = {comparison.step_difference}")
         else:
-            if note:
-                print(note)
-            for v in (comparison.row_first, comparison.column_first):
-                _render_verdict(v)
-                print()
-            if comparison.step_difference is not None:
-                print(f"step difference |N1 - N2| = {comparison.step_difference}")
-            else:
-                print("step difference |N1 - N2| undefined (not both finite)")
-            if comparison.column_first.variant is Termination.INFINITE:
-                print(_closed_form_note(A)[0])
-        return 0
-
-    verdict = classify_2x2(A, side)
-    if args.format == "json":
-        obj = {"command": "classify", **_verdict_json(verdict)}
-        if verdict.variant is Termination.INFINITE:
-            obj["closed_form"] = _closed_form_note(A)[1]
-        _emit_json(obj)
+            lines.append("step difference |N1 - N2| undefined (not both finite)")
+        infinite = comparison.column_first.variant is Termination.INFINITE
     else:
-        if note:
-            print(note)
-        _render_verdict(verdict)
-        if verdict.variant is Termination.INFINITE:
-            print(_closed_form_note(A)[0])
+        verdict = classify_2x2(A, StartSide(args.start_side))
+        obj = _verdict_json(verdict)
+        lines += _verdict_lines(obj)
+        infinite = verdict.variant is Termination.INFINITE
+
+    if infinite:
+        note, fields = _closed_form_note(A)
+        obj["closed_form"] = fields
+        lines.append(note)
+    _emit(args.format, {"command": "classify", **obj}, lines)
     return 0
 
 
@@ -302,183 +285,149 @@ def cmd_limit(args) -> int:
         raise CliError(
             "pass exactly one of: a 2x2 matrix, --bordered N K, or --triangular k"
         )
+    if args.matrix:
+        A = read_matrix(args.matrix, args.exact)
+        if (A.rows, A.cols) != (2, 2):
+            raise CliError(
+                f"closed forms cover 2x2 matrices (got {A.rows}x{A.cols}); "
+                f"use --bordered N K for the bordered n x n family"
+            )
+        (a, b), (c, d) = A.entries
 
     if args.bordered:
         n = int(args.bordered[0])
-        K = float(parse_rational(args.bordered[1]))
+        K = _parse_scalar(args.bordered[1], exact=False)
         lim = bordered_limit(n, K)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "command": "limit",
-                    "family": "bordered",
-                    "n": n,
-                    "K": K,
-                    "alpha": lim.alpha,
-                    "beta": lim.beta,
-                    "gamma": lim.gamma,
-                    "x1": lim.x1,
-                    "x2": lim.x2,
-                }
-            )
-        else:
-            print(f"bordered family: n = {n}, K = {_fmt(K)}")
-            print(f"alpha = {lim.alpha!r}")
-            print(f"beta  = {lim.beta!r}")
-            print(f"gamma = {lim.gamma!r}")
-            print(f"scaler: diag(x1, x2, ..., x2) with x1 = {lim.x1!r}, x2 = {lim.x2!r}")
-        return 0
-
-    if args.triangular:
+        obj = {
+            "family": "bordered",
+            "n": n,
+            "K": K,
+            "alpha": lim.alpha,
+            "beta": lim.beta,
+            "gamma": lim.gamma,
+            "x1": lim.x1,
+            "x2": lim.x2,
+        }
+        lines = [
+            f"bordered family: n = {n}, K = {K!r}",
+            f"alpha = {lim.alpha!r}",
+            f"beta  = {lim.beta!r}",
+            f"gamma = {lim.gamma!r}",
+            f"scaler: diag(x1, x2, ..., x2) with x1 = {lim.x1!r}, x2 = {lim.x2!r}",
+        ]
+    elif args.triangular:
         lim = bordered_limit_triangular(args.triangular)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "command": "limit",
-                    "family": "triangular",
-                    "k": args.triangular,
-                    "K": str(lim.K),
-                    "alpha": str(lim.alpha),
-                    "beta": str(lim.beta),
-                    "gamma": str(lim.gamma),
-                }
-            )
-        else:
-            print(f"triangular family: k = {args.triangular}, K = {lim.K}")
-            print(f"alpha = {lim.alpha} (exact)")
-            print(f"beta  = {lim.beta} (exact)")
-            print(f"gamma = {lim.gamma} (exact)")
-        return 0
-
-    A = read_matrix(args.matrix, args.exact)
-    if (A.rows, A.cols) != (2, 2):
-        raise CliError(
-            f"closed forms cover 2x2 matrices (got {A.rows}x{A.cols}); "
-            f"use --bordered N K for the bordered n x n family"
-        )
-    (a, b), (c, d) = A.entries
-
-    if args.symmetric:
+        obj = {
+            "family": "triangular",
+            "k": args.triangular,
+            "K": str(lim.K),
+            "alpha": str(lim.alpha),
+            "beta": str(lim.beta),
+            "gamma": str(lim.gamma),
+        }
+        lines = [
+            f"triangular family: k = {args.triangular}, K = {lim.K}",
+            f"alpha = {lim.alpha} (exact)",
+            f"beta  = {lim.beta} (exact)",
+            f"gamma = {lim.gamma} (exact)",
+        ]
+    elif args.symmetric:
         if b != c:
             raise CliError("--symmetric needs a symmetric matrix (entry (1,2) = entry (2,1))")
         lim = limit_2x2_symmetric(float(a), float(b), float(d))
-        if args.format == "json":
-            _emit_json(
-                {
-                    "command": "limit",
-                    "family": "symmetric",
-                    "alpha": lim.alpha,
-                    "beta": lim.beta,
-                    "lambda": lim.lam,
-                    "scaler": [float(x) for x in lim.scaler.diag],
-                    "limit": {"rows": _json_rows(lim.matrix())},
-                }
-            )
-        else:
-            print(f"alpha = {lim.alpha!r}")
-            print(f"beta  = {lim.beta!r}")
-            print(f"lambda = {lim.lam!r}")
-            print(f"scaler: diag({', '.join(repr(float(x)) for x in lim.scaler.diag)})")
-            print("limit:")
-            print(_fmt_matrix(lim.matrix()))
-        return 0
-
-    if args.exact:
+        obj = {
+            "family": "symmetric",
+            "alpha": lim.alpha,
+            "beta": lim.beta,
+            "lambda": lim.lam,
+            "scaler": [float(x) for x in lim.scaler.diag],
+            "limit": lim.matrix().to_json_obj(),
+        }
+        lines = [
+            f"alpha = {lim.alpha!r}",
+            f"beta  = {lim.beta!r}",
+            f"lambda = {lim.lam!r}",
+            f"scaler: {_fmt_diag(obj['scaler'])}",
+            "limit:",
+            _fmt_matrix(obj["limit"]["rows"]),
+        ]
+    elif args.exact:
         lim = limit_2x2_exact(a, b, c, d)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "command": "limit",
-                    "family": "exact-2x2",
-                    "rational": lim.is_rational,
-                    "ratio": str(lim.ratio),
-                    "alpha": None if lim.alpha is None else str(lim.alpha),
-                    "beta": None if lim.beta is None else str(lim.beta),
-                }
-            )
-        elif lim.is_rational:
-            print(f"alpha = {lim.alpha} (exact)")
-            print(f"beta  = {lim.beta} (exact)")
-            print("limit:")
-            print(_fmt_matrix(lim.matrix()))
+        obj = {
+            "family": "exact-2x2",
+            "rational": lim.is_rational,
+            "ratio": str(lim.ratio),
+            "alpha": None if lim.alpha is None else str(lim.alpha),
+            "beta": None if lim.beta is None else str(lim.beta),
+        }
+        if lim.is_rational:
+            lines = [
+                f"alpha = {lim.alpha} (exact)",
+                f"beta  = {lim.beta} (exact)",
+                "limit:",
+                _fmt_matrix(lim.matrix().to_json_obj()["rows"]),
+            ]
         else:
-            print(f"irrational: ad/bc = {lim.ratio} is not a rational square")
-        return 0
-
-    lim = limit_2x2(float(a), float(b), float(c), float(d))
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "limit",
-                "family": "general-2x2",
-                "alpha": lim.alpha,
-                "beta": lim.beta,
-                "left": [float(x) for x in lim.left.diag],
-                "right": [float(x) for x in lim.right.diag],
-                "limit": {"rows": _json_rows(lim.matrix())},
-            }
-        )
+            lines = [f"irrational: ad/bc = {lim.ratio} is not a rational square"]
     else:
-        print(f"alpha = {lim.alpha!r}")
-        print(f"beta  = {lim.beta!r}")
-        print(f"left scaling:  diag({', '.join(repr(float(x)) for x in lim.left.diag)})")
-        print(f"right scaling: diag({', '.join(repr(float(x)) for x in lim.right.diag)})")
-        print("limit:")
-        print(_fmt_matrix(lim.matrix()))
+        lim = limit_2x2(float(a), float(b), float(c), float(d))
+        obj = {
+            "family": "general-2x2",
+            "alpha": lim.alpha,
+            "beta": lim.beta,
+            "left": [float(x) for x in lim.left.diag],
+            "right": [float(x) for x in lim.right.diag],
+            "limit": lim.matrix().to_json_obj(),
+        }
+        lines = [
+            f"alpha = {lim.alpha!r}",
+            f"beta  = {lim.beta!r}",
+            f"left scaling:  {_fmt_diag(obj['left'])}",
+            f"right scaling: {_fmt_diag(obj['right'])}",
+            "limit:",
+            _fmt_matrix(obj["limit"]["rows"]),
+        ]
+    _emit(args.format, {"command": "limit", **obj}, lines)
     return 0
 
 
 def cmd_trace(args) -> int:
     A = read_matrix(args.matrix, args.exact)
-    cfg = IterationConfig(
-        start_side=StartSide.COLUMN_FIRST if args.start_side == "column" else StartSide.ROW_FIRST,
-        max_steps=args.steps,
-        tolerance=_resolve_tolerance(args, A.exact),
-    )
-    res = sinkhorn(A, cfg)
+    res = sinkhorn(A, _iteration_config(args, A.exact))
     sys.stdout.write(trace_csv(res.trace, A.exact))
     return 0
 
 
 def cmd_search(args) -> int:
-    side = StartSide.COLUMN_FIRST if args.start_side == "column" else StartSide.ROW_FIRST
     hits = finite_termination_search(
         args.n,
         args.bound,
-        start_side=side,
+        start_side=StartSide(args.start_side),
         max_steps=args.max_steps,
         normalize_rows=args.normalize_rows,
         entry_bits_cap=args.bits_cap,
         candidate_cap=args.candidate_cap,
     )
-    histogram: dict[int, int] = {}
-    for hit in hits:
-        histogram[hit.length] = histogram.get(hit.length, 0) + 1
+    histogram = Counter(h.length for h in hits)
     total = args.bound ** (args.n * args.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "search",
-                "n": args.n,
-                "bound": args.bound,
-                "candidates": total,
-                "hits": [
-                    {
-                        "matrix": {"rows": _json_rows(h.matrix)},
-                        "length": h.length,
-                        "limit": {"rows": _json_rows(h.limit)},
-                    }
-                    for h in hits
-                ],
-                "histogram": {str(k): v for k, v in sorted(histogram.items())},
-            }
-        )
-    else:
-        for h in hits:
-            print(f"{_matrix_inline(h.matrix)}  ->  L = {h.length}, limit {_matrix_inline(h.limit)}")
-        print(f"candidates: {total}, finite terminations: {len(hits)}")
-        for L in sorted(histogram):
-            print(f"  L = {L}: {histogram[L]}")
+    obj = {
+        "command": "search",
+        "n": args.n,
+        "bound": args.bound,
+        "candidates": total,
+        "hits": [
+            {"matrix": h.matrix.to_json_obj(), "length": h.length, "limit": h.limit.to_json_obj()}
+            for h in hits
+        ],
+        "histogram": {str(k): v for k, v in sorted(histogram.items())},
+    }
+    lines = [
+        f"{_matrix_inline(h['matrix']['rows'])}  ->  L = {h['length']}, limit {_matrix_inline(h['limit']['rows'])}"
+        for h in obj["hits"]
+    ]
+    lines.append(f"candidates: {total}, finite terminations: {len(hits)}")
+    lines += [f"  L = {L}: {histogram[L]}" for L in sorted(histogram)]
+    _emit(args.format, obj, lines)
     return 0
 
 
@@ -486,9 +435,13 @@ def _add_matrix_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("matrix", help="inline matrix 'a,b;c,d' or path to a JSON file")
 
 
+def _add_start_side_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--start-side", choices=("column", "row"), default="column")
+
+
 def _add_iteration_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--exact", action="store_true", help="exact rational regime")
-    p.add_argument("--start-side", choices=("column", "row"), default="column")
+    _add_start_side_flag(p)
     p.add_argument("--max-steps", type=int, default=None, help="step budget (default 10000 approximate / 64 exact)")
     p.add_argument("--tol", type=float, default=None, help="margin tolerance (approximate regime)")
 
@@ -517,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--col-targets", required=True, help="comma-separated column sums c")
     _add_iteration_flags(p)
     _add_format_flag(p)
-    p.set_defaults(func=cmd_rc_scale)
+    p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("limit", help="evaluate a closed-form limit")
     p.add_argument("matrix", nargs="?", default=None)
@@ -530,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="exact 2x2 termination verdict")
     _add_matrix_arg(p)
-    p.add_argument("--start-side", choices=("column", "row"), default="column")
+    _add_start_side_flag(p)
     p.add_argument("--both-orders", action="store_true", help="classify under both start orders")
     _add_format_flag(p)
     p.set_defaults(func=cmd_classify)
@@ -538,15 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="per-step margin-error CSV on stdout")
     _add_matrix_arg(p)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--start-side", choices=("column", "row"), default="column")
-    p.add_argument("--steps", type=int, default=None, help="step budget")
+    _add_start_side_flag(p)
+    p.add_argument("--steps", dest="max_steps", metavar="STEPS", type=int, default=None, help="step budget")
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("search", help="catalog finite-termination integer matrices")
     p.add_argument("--n", type=int, required=True, help="matrix size (n >= 2)")
     p.add_argument("--bound", type=int, required=True, help="largest integer entry")
-    p.add_argument("--start-side", choices=("column", "row"), default="column")
+    _add_start_side_flag(p)
     p.add_argument("--max-steps", type=int, default=64)
     p.add_argument("--normalize-rows", action="store_true", help="divide each candidate's rows by their sums first")
     p.add_argument("--bits-cap", type=int, default=4096, help="drop candidates whose entries exceed this bit size")
@@ -561,7 +514,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, NonPositiveEntryError, DimensionError, RegimeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # CliError and every input error are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,7 +38,8 @@ from .matrices import (
     PositiveMatrix,
     RegimeError,
     Scalar,
-    DEFAULT_TOLERANCE,
+    _resolve_targets,
+    _resolve_tol,
     apply_left,
     apply_right,
 )
@@ -117,40 +118,34 @@ def _max_entry_bits(entries) -> int:
     )
 
 
-def _resolve_targets(A: PositiveMatrix, target: MarginTarget | None):
-    if target is None:
-        if A.rows != A.cols:
-            raise DimensionError(
-                f"unit-margin scaling needs a square matrix, got {A.rows}x{A.cols};"
-                " pass a MarginTarget for rectangular input"
-            )
-        target = MarginTarget.unit(A.rows, A.cols, A.exact)
-    else:
-        if target.exact != A.exact:
-            raise RegimeError("matrix and margin target are in different regimes")
-        if len(target.row_targets) != A.rows or len(target.col_targets) != A.cols:
-            raise DimensionError(
-                f"target of shape {len(target.row_targets)}/{len(target.col_targets)}"
-                f" does not fit a {A.rows}x{A.cols} matrix"
-            )
-    return target
-
-
-def _iterate(
+def sinkhorn(
     A: PositiveMatrix,
-    target: MarginTarget,
-    cfg: IterationConfig,
-    capture_matrices: bool,
-    entry_bits_cap: int | None,
+    cfg: IterationConfig | None = None,
+    *,
+    capture_matrices: bool = False,
+    entry_bits_cap: int | None = None,
 ) -> SinkhornResult:
+    """Run the alternating scaling iteration on A.
+
+    Stops at the first step whose iterate meets every margin (exactly in
+    the exact regime, within cfg.tolerance otherwise), else after
+    cfg.max_steps scalings. Margins default to all ones; set
+    cfg.margin_target for (r, c) scaling. The accumulated left/right
+    diagonals satisfy left @ A @ right == limit (exactly for Fraction
+    entries, to rounding for floats).
+
+    entry_bits_cap, when set, aborts an exact run whose entries exceed
+    that bit size, reporting MAX_STEPS_REACHED; see the search command.
+    """
+    cfg = cfg or IterationConfig()
+    if cfg.margin_target is None and A.rows != A.cols:
+        raise DimensionError(
+            f"unit-margin scaling needs a square matrix, got {A.rows}x{A.cols};"
+            " pass a MarginTarget for rectangular input"
+        )
     exact = A.exact
-    tolerance = cfg.tolerance
-    if tolerance is None:
-        tolerance = 0 if exact else DEFAULT_TOLERANCE
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tolerance}")
-    if exact and tolerance != 0:
-        raise ValueError("exact regime requires tolerance 0")
+    r_t, c_t = _resolve_targets(A, cfg.margin_target)
+    tolerance = _resolve_tol(A, cfg.tolerance)
     max_steps = cfg.max_steps
     if max_steps is None:
         max_steps = DEFAULT_MAX_STEPS_EXACT if exact else DEFAULT_MAX_STEPS_APPROX
@@ -158,7 +153,6 @@ def _iterate(
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
 
     m, n = A.rows, A.cols
-    r_t, c_t = target.row_targets, target.col_targets
     cur = [list(row) for row in A.entries]
     one = Fraction(1) if exact else 1.0
     left = [one] * m
@@ -220,50 +214,6 @@ def _iterate(
         status=status,
         trace=tuple(records),
     )
-
-
-def sinkhorn(
-    A: PositiveMatrix,
-    cfg: IterationConfig | None = None,
-    *,
-    capture_matrices: bool = False,
-    entry_bits_cap: int | None = None,
-) -> SinkhornResult:
-    """Run the alternating scaling iteration on A.
-
-    Stops at the first step whose iterate meets every margin (exactly in
-    the exact regime, within cfg.tolerance otherwise), else after
-    cfg.max_steps scalings. Margins default to all ones; set
-    cfg.margin_target for (r, c) scaling. The accumulated left/right
-    diagonals satisfy left @ A @ right == limit (exactly for Fraction
-    entries, to rounding for floats).
-
-    entry_bits_cap, when set, aborts an exact run whose entries exceed
-    that bit size, reporting MAX_STEPS_REACHED; see the search command.
-    """
-    cfg = cfg or IterationConfig()
-    target = _resolve_targets(A, cfg.margin_target)
-    return _iterate(A, target, cfg, capture_matrices, entry_bits_cap)
-
-
-def rc_sinkhorn(
-    A: PositiveMatrix,
-    target: MarginTarget,
-    cfg: IterationConfig | None = None,
-    *,
-    capture_matrices: bool = False,
-    entry_bits_cap: int | None = None,
-) -> SinkhornResult:
-    """Alternating scaling toward row sums r and column sums c.
-
-    With all-ones targets and a square matrix this is step-for-step
-    identical to :func:`sinkhorn`.
-    """
-    cfg = cfg or IterationConfig()
-    if cfg.margin_target is not None and cfg.margin_target != target:
-        raise ValueError("config carries a different margin_target than the one passed")
-    target = _resolve_targets(A, target)
-    return _iterate(A, target, cfg, capture_matrices, entry_bits_cap)
 
 
 def scaling_invariance_check(
@@ -401,18 +351,16 @@ def finite_termination_search(
         if normalize_rows:
             rows = [[x / s for x in row] for row, s in ((r, sum(r)) for r in rows)]
         A = PositiveMatrix(rows)
+        # the 2x2 fast path only prefilters: most 2x2 candidates never
+        # terminate, and the engine would spend its whole budget on each
         if n == 2:
             length = termination_length_2x2(A, start_side, max_steps)
             if length is None:
                 continue
-            result = sinkhorn(A, cfg)
-            assert result.status is Status.TERMINATED_FINITE
-            assert result.steps_taken == length
-            hits.append(SearchHit(A, length, result.limit))
-        else:
-            result = sinkhorn(A, cfg, entry_bits_cap=entry_bits_cap)
-            if result.status is Status.TERMINATED_FINITE:
-                hits.append(SearchHit(A, result.steps_taken, result.limit))
+        result = sinkhorn(A, cfg, entry_bits_cap=entry_bits_cap)
+        if result.status is Status.TERMINATED_FINITE:
+            assert n > 2 or result.steps_taken == length  # fast path agrees
+            hits.append(SearchHit(A, result.steps_taken, result.limit))
     return hits
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import inf
 from typing import Iterable, Union
 
 from .numerics import format_rational, parse_rational
@@ -27,6 +28,10 @@ _TARGET_TOTAL_RTOL = 1e-9
 
 class NonPositiveEntryError(ValueError):
     """A matrix, scaling, or target entry was zero or negative."""
+
+
+class NonFiniteEntryError(ValueError):
+    """A float matrix, scaling, or target entry was infinite or NaN."""
 
 
 class DimensionError(ValueError):
@@ -54,12 +59,32 @@ def _coerce(values, what: str) -> tuple[tuple[Scalar, ...], bool]:
     return tuple(coerced), exact
 
 
+def _require_positive(flat, exact: bool, describe) -> None:
+    """Raise unless every value is positive and, for floats, finite.
+
+    describe(k) gives the label and the shown value of value k for the
+    error message. Exact values are only compared with 0, so no Fraction
+    is ever compared with a float.
+    """
+    if exact:
+        bad = [k for k, v in enumerate(flat) if v <= 0]
+    else:
+        bad = [k for k, v in enumerate(flat) if not 0 < v < inf]
+    if not bad:
+        return
+    label, shown = describe(bad[0])
+    if flat[bad[0]] <= 0:
+        raise NonPositiveEntryError(f"{label} is not positive: {shown}")
+    raise NonFiniteEntryError(f"{label} is not finite: {shown}")
+
+
 class PositiveMatrix:
     """Dense m x n matrix with strictly positive entries.
 
     Entries are all Fraction (exact regime; ints are promoted) or all
     float (approximate regime). Zero or negative entries are rejected
-    with :class:`NonPositiveEntryError` naming the offending position.
+    with :class:`NonPositiveEntryError`, infinite or NaN floats with
+    :class:`NonFiniteEntryError`, each naming the offending position.
     """
 
     __slots__ = ("entries", "exact")
@@ -74,12 +99,12 @@ class PositiveMatrix:
         flat, exact = _coerce(
             (x for row in entries for x in row), "matrix"
         )
-        for k, v in enumerate(flat):
-            if v <= 0:
-                i, j = divmod(k, n)
-                raise NonPositiveEntryError(
-                    f"entry ({i + 1},{j + 1}) is not positive: {entries[i][j]}"
-                )
+
+        def describe(k):
+            i, j = divmod(k, n)
+            return f"entry ({i + 1},{j + 1})", entries[i][j]
+
+        _require_positive(flat, exact, describe)
         self.entries = tuple(flat[i * n:(i + 1) * n] for i in range(len(entries)))
         self.exact = exact
 
@@ -131,10 +156,11 @@ class PositiveMatrix:
             for x in row:
                 if isinstance(x, str):
                     out.append(parse_rational(x))
-                elif isinstance(x, bool):
-                    raise ValueError(f"matrix entry is not a number: {x!r}")
-                elif isinstance(x, (int, float)):
-                    out.append(float(x))
+                elif isinstance(x, (int, float)) and not isinstance(x, bool):
+                    try:
+                        out.append(float(x))
+                    except OverflowError:  # an integer literal beyond float range
+                        raise NonFiniteEntryError("matrix entry is beyond float range") from None
                 else:
                     raise ValueError(f"matrix entry is not a number: {x!r}")
             parsed.append(out)
@@ -154,11 +180,7 @@ class DiagonalScaling:
         flat, exact = _coerce(diag, "diagonal")
         if not flat:
             raise DimensionError("diagonal needs at least one coordinate")
-        for k, v in enumerate(flat):
-            if v <= 0:
-                raise NonPositiveEntryError(
-                    f"diagonal coordinate {k + 1} is not positive: {v}"
-                )
+        _require_positive(flat, exact, lambda k: (f"diagonal coordinate {k + 1}", flat[k]))
         self.diag = flat
         self.exact = exact
 
@@ -188,18 +210,10 @@ class MarginTarget:
         if r_exact != c_exact:
             raise RegimeError("row and column targets are in different regimes")
         for name, vec in (("row", rt), ("column", ct)):
-            for k, v in enumerate(vec):
-                if v <= 0:
-                    raise NonPositiveEntryError(
-                        f"{name} target {k + 1} is not positive: {v}"
-                    )
+            _require_positive(vec, r_exact, lambda k: (f"{name} target {k + 1}", vec[k]))
         r_total, c_total = sum(rt), sum(ct)
-        if r_exact:
-            if r_total != c_total:
-                raise ValueError(
-                    f"target totals differ: sum(r) = {r_total}, sum(c) = {c_total}"
-                )
-        elif abs(r_total - c_total) > _TARGET_TOTAL_RTOL * max(1.0, abs(r_total)):
+        slack = 0 if r_exact else _TARGET_TOTAL_RTOL * max(1.0, abs(r_total))
+        if abs(r_total - c_total) > slack:
             raise ValueError(
                 f"target totals differ: sum(r) = {r_total}, sum(c) = {c_total}"
             )
@@ -250,19 +264,19 @@ def transpose(A: PositiveMatrix) -> PositiveMatrix:
     return PositiveMatrix(zip(*A.entries))
 
 
-def _targets_for(A: PositiveMatrix, target: MarginTarget | None, axis: str):
+def _resolve_targets(A: PositiveMatrix, target: MarginTarget | None):
+    """(row targets, column targets) for A; all ones when target is None."""
     if target is None:
         one = Fraction(1) if A.exact else 1.0
-        k = A.rows if axis == "row" else A.cols
-        return (one,) * k
-    _check_same_regime(A.exact, target.exact)
-    vec = target.row_targets if axis == "row" else target.col_targets
-    need = A.rows if axis == "row" else A.cols
-    if len(vec) != need:
+        return (one,) * A.rows, (one,) * A.cols
+    if target.exact != A.exact:
+        raise RegimeError("matrix and margin target are in different regimes")
+    if len(target.row_targets) != A.rows or len(target.col_targets) != A.cols:
         raise DimensionError(
-            f"{axis} target length {len(vec)} does not match matrix ({A.rows}x{A.cols})"
+            f"target of shape {len(target.row_targets)}/{len(target.col_targets)}"
+            f" does not fit a {A.rows}x{A.cols} matrix"
         )
-    return vec
+    return target.row_targets, target.col_targets
 
 
 def row_scaling(A: PositiveMatrix, target: MarginTarget | None = None) -> DiagonalScaling:
@@ -270,13 +284,13 @@ def row_scaling(A: PositiveMatrix, target: MarginTarget | None = None) -> Diagon
 
     Coordinate i is target_i / row_i(A); targets default to 1.
     """
-    t = _targets_for(A, target, "row")
+    t = _resolve_targets(A, target)[0]
     return DiagonalScaling(ti / s for ti, s in zip(t, row_sums(A)))
 
 
 def col_scaling(A: PositiveMatrix, target: MarginTarget | None = None) -> DiagonalScaling:
     """Diagonal that right-multiplies A so every column sums to its target."""
-    t = _targets_for(A, target, "col")
+    t = _resolve_targets(A, target)[1]
     return DiagonalScaling(tj / s for tj, s in zip(t, col_sums(A)))
 
 
@@ -305,7 +319,7 @@ def apply_right(A: PositiveMatrix, D: DiagonalScaling) -> PositiveMatrix:
 def _resolve_tol(A: PositiveMatrix, tol: float | None) -> Scalar:
     if tol is None:
         return 0 if A.exact else DEFAULT_TOLERANCE
-    if tol < 0:
+    if not tol >= 0:  # also rejects NaN, which no margin error would ever meet
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
     if A.exact and tol != 0:
         raise ValueError("exact regime requires tolerance 0")
@@ -324,14 +338,14 @@ def is_row_stochastic(
     tol defaults to 0 in the exact regime and DEFAULT_TOLERANCE in the
     approximate one.
     """
-    return _margins_within(row_sums(A), _targets_for(A, target, "row"), _resolve_tol(A, tol))
+    return _margins_within(row_sums(A), _resolve_targets(A, target)[0], _resolve_tol(A, tol))
 
 
 def is_col_stochastic(
     A: PositiveMatrix, target: MarginTarget | None = None, tol: float | None = None
 ) -> bool:
     """True iff every column sum matches its target within tol."""
-    return _margins_within(col_sums(A), _targets_for(A, target, "col"), _resolve_tol(A, tol))
+    return _margins_within(col_sums(A), _resolve_targets(A, target)[1], _resolve_tol(A, tol))
 
 
 def is_doubly_stochastic(

@@ -1,10 +1,17 @@
 import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from sinkhornlab import PositiveMatrix
 from sinkhornlab.cli import main
 
 F = Fraction
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((ROOT / "bench" / "golden" / "cli_golden.json").read_text())
+GOLDEN_CASES = GOLDEN["cases"] + GOLDEN["errors"]
 
 
 def run(capsys, *argv):
@@ -31,10 +38,24 @@ class TestScale:
         assert "converged within tolerance" in out
         assert "0.4" in out and "0.6" in out
 
-    def test_nonpositive_entry_exits_one(self, capsys):
+    def test_nonpositive_entry_exits_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "scale", "1,2;0,4")
         assert code == 1
         assert "entry (2,1) is not positive" in err
+        for text in ("NaN", "Infinity", "1e400"):
+            path = tmp_path / "m.json"
+            path.write_text('{"rows": [[1, 2], [%s, 4]]}' % text)
+            code, out, err = run(capsys, "scale", str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith("error: entry (2,1) is not finite")
+        for argv in (
+            ("scale", "1e400,1;1,1"),
+            ("rc-scale", "1,1;1,1", "--row-targets", "1e400,1", "--col-targets", "1,1"),
+            ("limit", "--bordered", "3", "1e400"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_garbage_input_exits_one(self, capsys):
         code, _, err = run(capsys, "scale", "1,two;3,4")
@@ -267,3 +288,21 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["candidates"] == 16
         assert all(h["length"] <= 2 for h in payload["hits"])
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_CASES, ids=[" ".join(case["argv"]) for case in GOLDEN_CASES]
+)
+def test_golden_replay(case, capsys, monkeypatch):
+    """Every recorded CLI case replays byte for byte: exit code, stdout, stderr.
+
+    The cases name matrix files relative to the repository root. A case
+    stored without output must fail cleanly: exit 1 and one error line.
+    """
+    monkeypatch.chdir(ROOT)
+    code, out, err = run(capsys, *case["argv"])
+    if case["stdout"] is None:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])

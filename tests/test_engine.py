@@ -16,7 +16,6 @@ from sinkhornlab import (
     col_sums,
     finite_termination_search,
     is_doubly_stochastic,
-    rc_sinkhorn,
     row_sums,
     scaling_invariance_check,
     sinkhorn,
@@ -132,6 +131,10 @@ class TestApproximateIteration:
         assert res.status is Status.MAX_STEPS_REACHED
         assert res.steps_taken == 2
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            sinkhorn(M((1.0, 3.0), (3.0, 4.0)), IterationConfig(tolerance=float("nan")))
+
     def test_no_entry_bits_in_approximate_trace(self):
         res = sinkhorn(M((1.0, 3.0), (3.0, 4.0)))
         assert all(rec.max_entry_bits is None for rec in res.trace)
@@ -162,26 +165,27 @@ class TestRcScaling:
         A = M(*A_SLOW)
         cfg = IterationConfig(max_steps=5)
         plain = sinkhorn(A, cfg, capture_matrices=True)
-        rc = rc_sinkhorn(A, MarginTarget.unit(2, 2, exact=True), cfg, capture_matrices=True)
+        rc_cfg = IterationConfig(max_steps=5, margin_target=MarginTarget.unit(2, 2, exact=True))
+        rc = sinkhorn(A, rc_cfg, capture_matrices=True)
         assert rc.trace == plain.trace
         assert rc.limit == plain.limit
         assert rc.status == plain.status
 
     def test_flat_matrix_with_uneven_row_targets(self):
-        res = rc_sinkhorn(M((1, 1), (1, 1)), MarginTarget((1, 3), (2, 2)))
+        res = sinkhorn(M((1, 1), (1, 1)), IterationConfig(margin_target=MarginTarget((1, 3), (2, 2))))
         assert res.status is Status.TERMINATED_FINITE
         assert res.limit == M((F(1, 2), F(1, 2)), (F(3, 2), F(3, 2)))
         assert row_sums(res.limit) == (1, 3)
         assert col_sums(res.limit) == (2, 2)
 
     def test_already_rc_stochastic_terminates_at_zero(self):
-        res = rc_sinkhorn(M((1, 2), (3, 4)), MarginTarget((3, 7), (4, 6)))
+        res = sinkhorn(M((1, 2), (3, 4)), IterationConfig(margin_target=MarginTarget((3, 7), (4, 6))))
         assert res.status is Status.TERMINATED_FINITE
         assert res.steps_taken == 0
 
     def test_rectangular_targets(self):
         A = M((1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
-        res = rc_sinkhorn(A, MarginTarget((1.0, 2.0), (1.0, 1.0, 1.0)))
+        res = sinkhorn(A, IterationConfig(margin_target=MarginTarget((1.0, 2.0), (1.0, 1.0, 1.0))))
         assert res.status is Status.CONVERGED
         assert all(abs(s - t) <= 1e-12 for s, t in zip(row_sums(res.limit), (1.0, 2.0)))
         assert all(abs(s - 1) <= 1e-12 for s in col_sums(res.limit))
@@ -192,12 +196,7 @@ class TestRcScaling:
 
     def test_target_shape_must_fit(self):
         with pytest.raises(DimensionError):
-            rc_sinkhorn(M((1, 2), (3, 4)), MarginTarget((1, 1, 1), (1, 1, 1)))
-
-    def test_conflicting_config_target_rejected(self):
-        cfg = IterationConfig(margin_target=MarginTarget((1, 1), (1, 1)))
-        with pytest.raises(ValueError):
-            rc_sinkhorn(M((1, 1), (1, 1)), MarginTarget((1, 3), (2, 2)), cfg)
+            sinkhorn(M((1, 2), (3, 4)), IterationConfig(margin_target=MarginTarget((1, 1, 1), (1, 1, 1))))
 
     @given(exact_matrices(min_dim=2, max_dim=3))
     @settings(max_examples=50, deadline=None)
@@ -205,7 +204,7 @@ class TestRcScaling:
         r = tuple(F(i + 1) for i in range(A.rows))
         total = sum(r)
         c = (total - A.cols + 1,) + (F(1),) * (A.cols - 1)
-        res = rc_sinkhorn(A, MarginTarget(r, c), IterationConfig(max_steps=4))
+        res = sinkhorn(A, IterationConfig(max_steps=4, margin_target=MarginTarget(r, c)))
         for rec in res.trace:
             if rec.side == "row":
                 assert rec.max_row_err == 0

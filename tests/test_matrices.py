@@ -8,6 +8,7 @@ from sinkhornlab import (
     DiagonalScaling,
     DimensionError,
     MarginTarget,
+    NonFiniteEntryError,
     NonPositiveEntryError,
     PositiveMatrix,
     RegimeError,
@@ -38,6 +39,15 @@ class TestConstruction:
     def test_rejects_zero_entry_naming_position(self):
         with pytest.raises(NonPositiveEntryError, match=r"\(2,1\)"):
             M((1, 2), (0, 4))
+        # 1e400 is what json reads for a float literal beyond range
+        for bad in (float("nan"), float("inf"), float("1e400")):
+            with pytest.raises(NonFiniteEntryError, match=r"\(2,1\)"):
+                M((1.0, 2.0), (bad, 4.0))
+            with pytest.raises(NonFiniteEntryError):
+                DiagonalScaling((1.0, bad))
+        for text in ("NaN", "Infinity", "1e400", "1" + "0" * 400):
+            with pytest.raises(NonFiniteEntryError):
+                PositiveMatrix.from_json('{"rows": [[1, 2], [%s, 4]]}' % text)
 
     def test_rejects_negative_entry(self):
         with pytest.raises(NonPositiveEntryError):
@@ -251,6 +261,9 @@ class TestMarginTarget:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(NonPositiveEntryError):
             MarginTarget((1, 0), (1, 0))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(NonFiniteEntryError):
+                MarginTarget((1.0, bad), (1.0, 1.0))
 
     def test_unit(self):
         t = MarginTarget.unit(2, 2, exact=True)
