@@ -35,6 +35,8 @@ from .matrices import (
     DiagonalScaling,
     DimensionError,
     MarginTarget,
+    NonFiniteEntryError,
+    NonPositiveEntryError,
     PositiveMatrix,
     RegimeError,
     Scalar,
@@ -193,23 +195,41 @@ def sinkhorn(
             status = Status.MAX_STEPS_REACHED
             steps_taken = step
             break
-        if _side_of_step(cfg.start_side, step + 1) == "col":
-            factors = [c_t[j] / csums[j] for j in range(n)]
-            for row in cur:
-                for j in range(n):
-                    row[j] *= factors[j]
-            right = [r * f for r, f in zip(right, factors)]
-        else:
-            factors = [r_t[i] / rsums[i] for i in range(m)]
-            for i in range(m):
-                fi = factors[i]
-                cur[i] = [x * fi for x in cur[i]]
-            left = [l * f for l, f in zip(left, factors)]
+        side = _side_of_step(cfg.start_side, step + 1)
+        try:
+            if side == "col":
+                factors = [c_t[j] / csums[j] for j in range(n)]
+                for row in cur:
+                    for j in range(n):
+                        row[j] *= factors[j]
+                right = [r * f for r, f in zip(right, factors)]
+            else:
+                factors = [r_t[i] / rsums[i] for i in range(m)]
+                for i in range(m):
+                    fi = factors[i]
+                    cur[i] = [x * fi for x in cur[i]]
+                left = [l * f for l, f in zip(left, factors)]
+        except ZeroDivisionError:
+            # only float sums reach 0: a whole column or row underflowed
+            sums, name = (csums, "column") if side == "col" else (rsums, "row")
+            raise NonPositiveEntryError(
+                f"iteration left float range by step {step}: "
+                f"{name} {sums.index(0) + 1} sums to 0.0"
+            ) from None
 
+    # float entries and diagonals can also under- or overflow one at a
+    # time; rather than check every entry in the loop, the result's own
+    # validation reports it, at the step where the run stopped
+    try:
+        limit = PositiveMatrix(cur)
+        left_accum = DiagonalScaling(left)
+        right_accum = DiagonalScaling(right)
+    except (NonPositiveEntryError, NonFiniteEntryError) as exc:
+        raise type(exc)(f"iteration left float range by step {steps_taken}: {exc}") from None
     return SinkhornResult(
-        limit=PositiveMatrix(cur),
-        left_accum=DiagonalScaling(left),
-        right_accum=DiagonalScaling(right),
+        limit=limit,
+        left_accum=left_accum,
+        right_accum=right_accum,
         steps_taken=steps_taken,
         status=status,
         trace=tuple(records),
@@ -332,6 +352,14 @@ def finite_termination_search(
     iterates of non-terminating matrices with n >= 3 double their bit
     size every step). Raises ValueError when the enumeration would
     exceed candidate_cap matrices.
+
+    Row and column scalings commute with row and column permutations,
+    and so does row normalization: P @ A @ Q takes the same steps, with
+    the same entry bit sizes, as A, and its limit is P @ limit(A) @ Q.
+    So the exact run happens once per orbit of row and column
+    permutations, on the orbit's canonical form, and every candidate of
+    the orbit gets that verdict with its limit permuted back. Hits come
+    in enumeration order.
     """
     if n < 2:
         raise ValueError(f"search needs n >= 2, got {n}")
@@ -343,25 +371,63 @@ def finite_termination_search(
             f"enumeration of {total} candidates exceeds the cap of {candidate_cap}"
         )
     cfg = IterationConfig(start_side=start_side, max_steps=max_steps)
+    col_orders = list(itertools.permutations(range(n)))
+    verdicts: dict = {}
     hits: list[SearchHit] = []
     for combo in itertools.product(range(1, bound + 1), repeat=n * n):
-        rows = [
-            [Fraction(v) for v in combo[i * n:(i + 1) * n]] for i in range(n)
-        ]
-        if normalize_rows:
-            rows = [[x / s for x in row] for row, s in ((r, sum(r)) for r in rows)]
-        A = PositiveMatrix(rows)
-        # the 2x2 fast path only prefilters: most 2x2 candidates never
-        # terminate, and the engine would spend its whole budget on each
-        if n == 2:
-            length = termination_length_2x2(A, start_side, max_steps)
-            if length is None:
-                continue
-        result = sinkhorn(A, cfg, entry_bits_cap=entry_bits_cap)
-        if result.status is Status.TERMINATED_FINITE:
-            assert n > 2 or result.steps_taken == length  # fast path agrees
-            hits.append(SearchHit(A, result.steps_taken, result.limit))
+        rows = [combo[i * n:(i + 1) * n] for i in range(n)]
+        form, row_order, col_order = _canonical_form(rows, col_orders)
+        if form not in verdicts:
+            verdicts[form] = _verdict(_candidate(form, normalize_rows), cfg, entry_bits_cap)
+        found = verdicts[form]
+        if found is None:
+            continue
+        steps, form_limit = found
+        # form[a][b] == rows[row_order[a]][col_order[b]], and so for the limits
+        limit = [[None] * n for _ in range(n)]
+        for a, i in enumerate(row_order):
+            for b, j in enumerate(col_order):
+                limit[i][j] = form_limit[a][b]
+        hits.append(SearchHit(_candidate(rows, normalize_rows), steps, PositiveMatrix(limit)))
     return hits
+
+
+def _candidate(rows, normalize_rows: bool) -> PositiveMatrix:
+    rows = [[Fraction(v) for v in row] for row in rows]
+    if normalize_rows:
+        rows = [[x / s for x in row] for row, s in ((r, sum(r)) for r in rows)]
+    return PositiveMatrix(rows)
+
+
+def _verdict(A: PositiveMatrix, cfg: IterationConfig, entry_bits_cap):
+    """(steps, limit entries) when the exact run of A terminates, else None."""
+    # the 2x2 fast path only prefilters: most 2x2 candidates never
+    # terminate, and the engine would spend its whole budget on each
+    if A.rows == 2:
+        length = termination_length_2x2(A, cfg.start_side, cfg.max_steps)
+        if length is None:
+            return None
+    result = sinkhorn(A, cfg, entry_bits_cap=entry_bits_cap)
+    if result.status is not Status.TERMINATED_FINITE:
+        return None
+    assert A.rows > 2 or result.steps_taken == length  # fast path agrees
+    return result.steps_taken, result.limit.entries
+
+
+def _canonical_form(rows, col_orders):
+    """The least, over column orders q, of the rows permuted by q and then
+    sorted: one matrix per orbit of row and column permutations.
+
+    Returns it with the row order and column order that produce it from
+    rows, so that form[a][b] == rows[row_order[a]][col_order[b]].
+    """
+    best = None
+    for q in col_orders:
+        ranked = sorted((tuple(row[j] for j in q), i) for i, row in enumerate(rows))
+        form = tuple(row for row, _ in ranked)
+        if best is None or form < best[0]:
+            best = (form, tuple(i for _, i in ranked), q)
+    return best
 
 
 # --- trace serialization ------------------------------------------------------

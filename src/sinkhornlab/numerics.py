@@ -64,6 +64,36 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational number: {text!r}") from exc
 
 
+#: digits per chunk when converting a long integer; the interpreter's
+#: int-to-str limit cannot be set below 640 digits
+_CHUNK_DIGITS = 500
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _int_text(k: int) -> str:
+    """Decimal text of any integer.
+
+    str() refuses integers past the interpreter's digit limit (4,300 by
+    default), which guards parsing and stays in place; longer values are
+    converted in chunks of _CHUNK_DIGITS digits instead.
+    """
+    if -_CHUNK < k < _CHUNK:
+        return str(k)
+    if k < 0:
+        return "-" + _int_text(-k)
+    chunks = []
+    while k >= _CHUNK:
+        k, low = divmod(k, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(k))
+    return "".join(reversed(chunks))
+
+
 def format_rational(q: Fraction) -> str:
-    """Serialize as 'p/q' in lowest terms, omitting '/q' for integers."""
-    return str(q)
+    """Serialize as 'p/q' in lowest terms, omitting '/q' for integers.
+
+    Renders a Fraction of any size.
+    """
+    if q.denominator == 1:
+        return _int_text(q.numerator)
+    return f"{_int_text(q.numerator)}/{_int_text(q.denominator)}"

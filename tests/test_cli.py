@@ -67,6 +67,20 @@ class TestScale:
         assert code == 2
         assert "max steps reached" in out
 
+    def test_long_exact_run_prints_in_full(self, capsys):
+        code, out, err = run(capsys, "scale", "--exact", "3/2,1/3;4/3,6/5", "--max-steps", "100")
+        assert (code, err) == (2, "")
+        assert "max steps reached after 100 steps" in out
+        left = out.split("left scaling:  diag(")[1].split(",")[0]
+        assert len(left.split("/")[0]) > 4300
+
+    @pytest.mark.parametrize("matrix", ["1e-300,1e-300;1e300,1e300", "1e-300,1e300;1e300,1e-300"])
+    def test_leaving_float_range_exits_one(self, capsys, matrix):
+        code, out, err = run(capsys, "scale", matrix)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: iteration left float range by step 1: ")
+        assert err.count("\n") == 1
+
     def test_json_output_round_trips(self, capsys):
         code, out, _ = run(capsys, "scale", "--exact", "1,12;3,4", "--format", "json")
         assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from sinkhornlab import (
     DimensionError,
     IterationConfig,
     MarginTarget,
+    NonPositiveEntryError,
     PositiveMatrix,
     StartSide,
     Status,
@@ -135,6 +137,18 @@ class TestApproximateIteration:
         with pytest.raises(ValueError, match="nonnegative"):
             sinkhorn(M((1.0, 3.0), (3.0, 4.0)), IterationConfig(tolerance=float("nan")))
 
+    @pytest.mark.parametrize(
+        "rows,message",
+        [
+            (((1e-300, 1e-300), (1e300, 1e300)), "by step 1: row 1 sums to 0.0"),
+            (((1e-300, 1e300), (1e300, 1e-300)), "by step 1: entry (1,1) is not positive: 0.0"),
+        ],
+    )
+    def test_leaving_float_range_is_a_named_error(self, rows, message):
+        with pytest.raises(NonPositiveEntryError, match=r"^iteration left float range ") as err:
+            sinkhorn(M(*rows))
+        assert str(err.value).endswith(message)
+
     def test_no_entry_bits_in_approximate_trace(self):
         res = sinkhorn(M((1.0, 3.0), (3.0, 4.0)))
         assert all(rec.max_entry_bits is None for rec in res.trace)
@@ -256,7 +270,72 @@ class TestTerminationLength2x2:
             termination_length_2x2(M((1, 2, 3), (4, 5, 6), (7, 8, 9)))
 
 
+def _permute(A, row_order, col_order):
+    """P @ A @ Q: row i of the result is row row_order[i] of A, and so for columns."""
+    return PositiveMatrix([[A.entries[i][j] for j in col_order] for i in row_order])
+
+
+class TestPermutationEquivariance:
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda n: st.tuples(
+                exact_matrices(min_dim=n, max_dim=n, square=True),
+                st.permutations(range(n)),
+                st.permutations(range(n)),
+            )
+        ),
+        st.sampled_from(list(StartSide)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_permuted_run_is_the_permuted_run(self, case, side):
+        A, rows, cols = case
+        cfg = IterationConfig(start_side=side, max_steps=6)
+        base = sinkhorn(A, cfg)
+        permuted = sinkhorn(_permute(A, rows, cols), cfg)
+        assert permuted.status is base.status
+        assert permuted.steps_taken == base.steps_taken
+        assert [r.max_entry_bits for r in permuted.trace] == [r.max_entry_bits for r in base.trace]
+        assert permuted.limit == _permute(base.limit, rows, cols)
+
+
+def _reference_search(n, bound, start_side=StartSide.COLUMN_FIRST, max_steps=64, normalize_rows=False):
+    """One exact run per candidate, in enumeration order: the oracle for
+    the search, which runs once per permutation orbit."""
+    cfg = IterationConfig(start_side=start_side, max_steps=max_steps)
+    hits = []
+    for combo in itertools.product(range(1, bound + 1), repeat=n * n):
+        rows = [[F(v) for v in combo[i * n:(i + 1) * n]] for i in range(n)]
+        if normalize_rows:
+            rows = [[x / sum(row) for x in row] for row in rows]
+        A = PositiveMatrix(rows)
+        if n == 2 and termination_length_2x2(A, start_side, max_steps) is None:
+            continue
+        res = sinkhorn(A, cfg, entry_bits_cap=4096)
+        if res.status is Status.TERMINATED_FINITE:
+            hits.append((A, res.steps_taken, res.limit))
+    return hits
+
+
 class TestSearch:
+    @pytest.mark.parametrize(
+        "n,bound,kwargs",
+        [
+            (2, 5, {}),
+            (2, 5, {"start_side": StartSide.ROW_FIRST}),
+            (2, 3, {"normalize_rows": True}),
+            (3, 2, {"max_steps": 4}),
+        ],
+    )
+    def test_orbit_search_matches_per_candidate_runs(self, n, bound, kwargs):
+        hits = finite_termination_search(n, bound, **kwargs)
+        assert [(h.matrix, h.length, h.limit) for h in hits] == _reference_search(n, bound, **kwargs)
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    def test_three_by_three_bound_two_at_the_default_bits_cap(self, side):
+        hits = finite_termination_search(3, 2, start_side=side)
+        assert len(hits) == 26
+        assert all(is_doubly_stochastic(h.limit, tol=0) for h in hits)
+
     def test_small_catalog_contents(self):
         hits = finite_termination_search(2, 4, start_side=StartSide.ROW_FIRST)
         by_matrix = {h.matrix: h for h in hits}

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -115,6 +116,16 @@ class TestSerialization:
         assert format_rational(Fraction(4, 6)) == "2/3"
         assert format_rational(Fraction(-4, 6)) == "-2/3"
         assert format_rational(Fraction(14, 7)) == "2"
+
+    def test_format_past_the_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        big = 7 * 10**5000 + 3
+        assert format_rational(Fraction(big)) == "7" + "0" * 4999 + "3"
+        assert format_rational(Fraction(-big, 10**4400 + 1)) == (
+            "-7" + "0" * 4999 + "3/1" + "0" * 4399 + "1"
+        )
+        assert format_rational(Fraction(10**1000, 3)) == "1" + "0" * 1000 + "/3"
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_perfect_square_edge_cases():
