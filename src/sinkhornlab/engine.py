@@ -195,6 +195,8 @@ def sinkhorn(
             status = Status.MAX_STEPS_REACHED
             steps_taken = step
             break
+        if not exact and step >= 64 and step & (step - 1) == 0:
+            _validated(cur, left, right, step)
         side = _side_of_step(cfg.start_side, step + 1)
         try:
             if side == "col":
@@ -217,15 +219,7 @@ def sinkhorn(
                 f"{name} {sums.index(0) + 1} sums to 0.0"
             ) from None
 
-    # float entries and diagonals can also under- or overflow one at a
-    # time; rather than check every entry in the loop, the result's own
-    # validation reports it, at the step where the run stopped
-    try:
-        limit = PositiveMatrix(cur)
-        left_accum = DiagonalScaling(left)
-        right_accum = DiagonalScaling(right)
-    except (NonPositiveEntryError, NonFiniteEntryError) as exc:
-        raise type(exc)(f"iteration left float range by step {steps_taken}: {exc}") from None
+    limit, left_accum, right_accum = _validated(cur, left, right, steps_taken)
     return SinkhornResult(
         limit=limit,
         left_accum=left_accum,
@@ -234,6 +228,21 @@ def sinkhorn(
         status=status,
         trace=tuple(records),
     )
+
+
+def _validated(cur, left, right, step: int):
+    """The iterate and both diagonals as validated values.
+
+    Float entries and diagonals can under- or overflow one at a time.
+    Rather than check every entry every step, the loop runs this at
+    float steps that are powers of two from 64 on, and once at the end:
+    a zero or infinite entry never recovers, so a run that has one
+    stops early with the same error it would reach at its budget.
+    """
+    try:
+        return PositiveMatrix(cur), DiagonalScaling(left), DiagonalScaling(right)
+    except (NonPositiveEntryError, NonFiniteEntryError) as exc:
+        raise type(exc)(f"iteration left float range by step {step}: {exc}") from None
 
 
 def scaling_invariance_check(
@@ -270,29 +279,34 @@ def _require_exact_2x2(A: PositiveMatrix):
 
 
 @lru_cache(maxsize=1 << 18)
-def _steps_until_doubly_stochastic(pn: int, pd: int, qn: int, qd: int, budget: int):
+def _steps_until_doubly_stochastic(X: int, Y: int, k: int, kd: int, budget: int):
     """Additional half-steps until the scaled 2x2 iterate is doubly stochastic.
 
     After any scaling step a positive 2x2 matrix is margin-normalized on
     one side, so it is exactly [[p, q], [1-p, 1-q]] up to transposition,
-    with p, q in (0, 1) held here in lowest terms. One half-step maps
-    (p, q) -> (p*qd'/(...), ...) identically for both orientations, and
-    the iterate is doubly stochastic iff p + q = 1. Returns the number
-    of further steps needed (0 if already doubly stochastic), or None if
-    more than `budget` would be required.
+    with p, q in (0, 1). Diagonal scaling keeps the cross ratio
+    kappa = ad/bc = k/kd, here p(1-q) / (q(1-p)). In the odds
+    x = p/(1-p) = X/Y of the first column, and so q/(1-q) = x/kappa:
+
+    * one half-step maps x -> (x + kappa) / (x + 1), the odds p/q of
+      the next iterate's first column, for both orientations;
+    * the iterate is doubly stochastic iff p + q = 1, that is iff
+      x**2 == kappa.
+
+    X/Y is held as an unreduced integer pair, since both the step
+    (X, Y) -> (kd*X + k*Y, kd*(X + Y)) and the test X*X*kd == k*Y*Y are
+    homogeneous in it: no gcd is taken, and X and Y grow by about the
+    bit size of kappa per step. Every step up to the budget is tested,
+    with no early exit: the at-most-two-steps theorem is checked against
+    this loop, not used by it. Returns the number of further steps
+    needed (0 if already doubly stochastic), or None if more than
+    `budget` would be required.
     """
-    if pn * qd + qn * pd == pd * qd:
+    if X * X * kd == k * Y * Y:
         return 0
     for taken in range(1, budget + 1):
-        a = pn * qd
-        b = (pd - pn) * qd
-        npd = a + qn * pd
-        nqd = b + (qd - qn) * pd
-        g = gcd(a, npd)
-        pn, pd = a // g, npd // g
-        g = gcd(b, nqd)
-        qn, qd = b // g, nqd // g
-        if pn * qd + qn * pd == pd * qd:
+        X, Y = kd * X + k * Y, kd * (X + Y)
+        if X * X * kd == k * Y * Y:
             return taken
     return None
 
@@ -308,19 +322,29 @@ def termination_length_2x2(
     fast path equivalent to sinkhorn() in the exact regime (the tests
     pin the two against each other); it exists because exhaustive sweeps
     call this hundreds of thousands of times.
+
+    The first step makes A = [[a, b], [c, d]] column stochastic, with
+    first-column odds x = a/c, or row stochastic, whose transpose has
+    x = a/b. From there _steps_until_doubly_stochastic iterates x with
+    the cross ratio kappa = ad/bc, which scaling keeps. Its cache key
+    holds x and kappa in lowest terms, so scaled copies of A that agree
+    after the first step share an entry.
     """
     a, b, c, d = _require_exact_2x2(A)
-    if a + b == 1 and c + d == 1 and a + c == 1:
+    # doubly stochastic iff d == a, c == b and a + b == 1
+    if a == d and b == c and a + b == 1:
         return 0
     if max_steps < 1:
         return None
+    na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+    nc, dc, nd, dd = c.numerator, c.denominator, d.numerator, d.denominator
     if start_side is StartSide.COLUMN_FIRST:
-        p, q = a / (a + c), b / (b + d)
+        X, Y = na * dc, da * nc
     else:
-        p, q = a / (a + b), c / (c + d)
-    rest = _steps_until_doubly_stochastic(
-        p.numerator, p.denominator, q.numerator, q.denominator, max_steps - 1
-    )
+        X, Y = na * db, da * nb
+    k, kd = na * nd * db * dc, da * dd * nb * nc
+    g, h = gcd(X, Y), gcd(k, kd)
+    rest = _steps_until_doubly_stochastic(X // g, Y // g, k // h, kd // h, max_steps - 1)
     return None if rest is None else 1 + rest
 
 

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from sinkhornlab import (
     termination_length_2x2,
     trace_csv,
 )
+from sinkhornlab.engine import _steps_until_doubly_stochastic
 
 from .strategies import approx_matrices, exact_matrices, exact_matrices_2x2
 
@@ -142,6 +144,8 @@ class TestApproximateIteration:
         [
             (((1e-300, 1e-300), (1e300, 1e300)), "by step 1: row 1 sums to 0.0"),
             (((1e-300, 1e300), (1e300, 1e-300)), "by step 1: entry (1,1) is not positive: 0.0"),
+            # (2,1) underflows at step 1 and never recovers: caught at the first check
+            (((1e300, 1e-300), (1e-300, 1e-300)), "by step 64: entry (2,1) is not positive: 0.0"),
         ],
     )
     def test_leaving_float_range_is_a_named_error(self, rows, message):
@@ -268,6 +272,51 @@ class TestTerminationLength2x2:
     def test_requires_exact_2x2(self):
         with pytest.raises(DimensionError):
             termination_length_2x2(M((1, 2, 3), (4, 5, 6), (7, 8, 9)))
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    def test_matches_the_reduced_pair_loop_on_small_rationals(self, side):
+        values = sorted({F(p, q) for p in range(1, 4) for q in range(1, 4)})
+        for entries in itertools.product(values, repeat=4):
+            A = M(entries[:2], entries[2:])
+            assert termination_length_2x2(A, side, max_steps=64) == _reference_length(A, side, 64)
+
+    @given(
+        st.lists(st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6)), min_size=4, max_size=4),
+        st.sampled_from(list(StartSide)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_reduced_pair_loop_on_wide_rationals(self, entries, side):
+        A = M(entries[:2], entries[2:])
+        assert termination_length_2x2(A, side, max_steps=64) == _reference_length(A, side, 64)
+
+    def test_column_scaled_copy_is_a_cache_hit(self):
+        A = M((F(7, 11), F(13, 5)), (F(3, 17), F(19, 2)))
+        scaled = M((F(7, 11) * 23, F(13, 5) / 29), (F(3, 17) * 23, F(19, 2) / 29))
+        length = termination_length_2x2(A, max_steps=64)
+        hits = _steps_until_doubly_stochastic.cache_info().hits
+        assert termination_length_2x2(scaled, max_steps=64) == length
+        assert _steps_until_doubly_stochastic.cache_info().hits == hits + 1
+
+
+def _reference_length(A, side, max_steps):
+    """termination_length_2x2 by the iterate's first row (p, q), reduced
+    by gcd every half-step: the oracle for the odds-coordinate fast path."""
+    a, b, c, d = A.entries[0] + A.entries[1]
+    if a + b == 1 and c + d == 1 and a + c == 1:
+        return 0
+    if side is StartSide.COLUMN_FIRST:
+        p, q = a / (a + c), b / (b + d)
+    else:
+        p, q = a / (a + b), c / (c + d)
+    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+    for taken in range(1, max_steps + 1):
+        if pn * qd + qn * pd == pd * qd:
+            return taken
+        a, b = pn * qd, (pd - pn) * qd
+        npd, nqd = a + qn * pd, b + (qd - qn) * pd
+        g, h = gcd(a, npd), gcd(b, nqd)
+        pn, pd, qn, qd = a // g, npd // g, b // h, nqd // h
+    return None
 
 
 def _permute(A, row_order, col_order):
