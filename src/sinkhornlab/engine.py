@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import sub
 from typing import Optional
 
 from .matrices import (
@@ -167,8 +168,8 @@ def sinkhorn(
     for step in itertools.count():
         rsums = [sum(row) for row in cur]
         csums = [sum(col) for col in zip(*cur)]
-        row_err = max(abs(s - t) for s, t in zip(rsums, r_t))
-        col_err = max(abs(s - t) for s, t in zip(csums, c_t))
+        row_err = max(map(abs, map(sub, rsums, r_t)))
+        col_err = max(map(abs, map(sub, csums, c_t)))
         bits = _max_entry_bits(cur) if exact else None
         records.append(
             TraceRecord(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from math import inf
 from typing import Iterable, Union
 
@@ -43,20 +44,28 @@ class RegimeError(ValueError):
 
 
 def _coerce(values, what: str) -> tuple[tuple[Scalar, ...], bool]:
-    """Validate a flat sequence of scalars; return (entries, exact)."""
-    out = list(values)
-    has_float = any(isinstance(x, float) for x in out)
-    has_exact = any(isinstance(x, Fraction) for x in out)
-    if has_float and has_exact:
+    """Validate a flat sequence of scalars; return (entries, exact).
+
+    The regime and the type checks are decided once per distinct entry
+    type, not per entry; only a bad input is scanned again, to name its
+    first offending entry. Plain floats are kept as they are; every other
+    entry is converted to the regime's type.
+    """
+    out = tuple(values)
+    types = set(map(type, out))
+    exact = not any(issubclass(t, float) for t in types)
+    if not exact and any(issubclass(t, Fraction) for t in types):
         raise RegimeError(f"{what} mixes float and Fraction entries")
-    exact = not has_float
+    if types == {float}:
+        return out, False
     conv = Fraction if exact else float
-    coerced = []
-    for k, x in enumerate(out):
-        if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
-            raise TypeError(f"{what} entry {k + 1} is not a scalar: {x!r}")
-        coerced.append(conv(x))
-    return tuple(coerced), exact
+    bad = {t for t in types if t is bool or not issubclass(t, (int, float, Fraction))}
+    if bad:
+        k = next(k for k, x in enumerate(out) if type(x) in bad)
+        for x in out[:k]:  # an entry before k that cannot be converted fails first
+            conv(x)
+        raise TypeError(f"{what} entry {k + 1} is not a scalar: {out[k]!r}")
+    return tuple(map(conv, out)), exact
 
 
 def _require_positive(flat, exact: bool, describe) -> None:
@@ -68,6 +77,8 @@ def _require_positive(flat, exact: bool, describe) -> None:
     """
     if exact:
         bad = [k for k, v in enumerate(flat) if v <= 0]
+    elif 0 < min(flat) and sum(flat) < inf:
+        return  # no NaN (it would make the sum NaN), so min is exact and inf is ruled out
     else:
         bad = [k for k, v in enumerate(flat) if not 0 < v < inf]
     if not bad:
@@ -96,9 +107,7 @@ class PositiveMatrix:
         n = len(entries[0])
         if any(len(row) != n for row in entries):
             raise DimensionError("matrix rows have unequal lengths")
-        flat, exact = _coerce(
-            (x for row in entries for x in row), "matrix"
-        )
+        flat, exact = _coerce(chain.from_iterable(entries), "matrix")
 
         def describe(k):
             i, j = divmod(k, n)

@@ -153,6 +153,13 @@ class TestApproximateIteration:
             sinkhorn(M(*rows))
         assert str(err.value).endswith(message)
 
+    def test_late_entry_of_large_matrix_leaving_float_range_is_named(self):
+        # column 128 sums to about 1.27e302, so (128,128) underflows at step 1
+        rows = [[1.0] * 127 + [1e300] for _ in range(127)] + [[1.0] * 127 + [1e-300]]
+        with pytest.raises(NonPositiveEntryError, match=r"^iteration left float range by step \d+: ") as err:
+            sinkhorn(PositiveMatrix(rows))
+        assert str(err.value).endswith("entry (128,128) is not positive: 0.0")
+
     def test_no_entry_bits_in_approximate_trace(self):
         res = sinkhorn(M((1.0, 3.0), (3.0, 4.0)))
         assert all(rec.max_entry_bits is None for rec in res.trace)

@@ -1,8 +1,9 @@
 import sys
 from fractions import Fraction
+from math import inf, nan
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from sinkhornlab import (
     DiagonalScaling,
@@ -23,6 +24,7 @@ from sinkhornlab import (
     row_sums,
     transpose,
 )
+from sinkhornlab.matrices import _coerce, _require_positive
 
 from .strategies import approx_matrices, exact_matrices
 
@@ -33,6 +35,69 @@ F = Fraction
 
 def M(*rows):
     return PositiveMatrix(rows)
+
+
+def _coerce_reference(values, what):
+    """The per-entry _coerce that the per-type one replaced."""
+    out = list(values)
+    has_float = any(isinstance(x, float) for x in out)
+    has_exact = any(isinstance(x, Fraction) for x in out)
+    if has_float and has_exact:
+        raise RegimeError(f"{what} mixes float and Fraction entries")
+    exact = not has_float
+    conv = Fraction if exact else float
+    coerced = []
+    for k, x in enumerate(out):
+        if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
+            raise TypeError(f"{what} entry {k + 1} is not a scalar: {x!r}")
+        coerced.append(conv(x))
+    return tuple(coerced), exact
+
+
+def _require_positive_reference(flat, exact, describe):
+    """The float check before its min/sum screen."""
+    if exact:
+        bad = [k for k, v in enumerate(flat) if v <= 0]
+    else:
+        bad = [k for k, v in enumerate(flat) if not 0 < v < inf]
+    if not bad:
+        return
+    label, shown = describe(bad[0])
+    if flat[bad[0]] <= 0:
+        raise NonPositiveEntryError(f"{label} is not positive: {shown}")
+    raise NonFiniteEntryError(f"{label} is not finite: {shown}")
+
+
+class _Float(float):
+    pass
+
+
+_SCALAR_KINDS = (
+    st.floats(),
+    st.floats().map(_Float),
+    st.integers(),
+    st.integers(2**1024, 2**1030),  # past float range: float() overflows
+    st.booleans(),
+    st.fractions(),
+    st.sampled_from([nan, inf, -inf, 0.0, -0.0]),
+    st.text(max_size=2),
+    st.none(),
+)
+
+
+@st.composite
+def scalar_lists(draw):
+    """Lists mixing a few kinds of value, so each kind of fault shows alone too."""
+    kinds = draw(st.lists(st.sampled_from(_SCALAR_KINDS), min_size=1, max_size=4, unique=True))
+    return draw(st.lists(st.one_of(kinds), max_size=8))
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the class and message of what it raises."""
+    try:
+        return "returns", fn(*args)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
 
 
 class TestConstruction:
@@ -48,6 +113,46 @@ class TestConstruction:
         for text in ("NaN", "Infinity", "1e400", "1" + "0" * 400):
             with pytest.raises(NonFiniteEntryError):
                 PositiveMatrix.from_json('{"rows": [[1, 2], [%s, 4]]}' % text)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, nan, inf])
+    @pytest.mark.parametrize("i,j", [(128, 128), (128, 1), (127, 128)])
+    def test_late_bad_entry_of_large_float_matrix_is_named(self, bad, i, j):
+        rows = [[1.0] * 128 for _ in range(128)]
+        rows[i - 1][j - 1] = bad
+        error = NonFiniteEntryError if bad == inf or bad != bad else NonPositiveEntryError
+        with pytest.raises(error, match=rf"^entry \({i},{j}\) is not"):
+            PositiveMatrix(rows)
+
+    def test_finite_entries_whose_sum_overflows_are_accepted(self):
+        A = PositiveMatrix([[1e308] * 128 for _ in range(128)])
+        assert A.entries[127][127] == 1e308
+
+    @given(scalar_lists())
+    @settings(max_examples=500)
+    def test_coerce_matches_the_per_entry_reference(self, values):
+        got = _outcome(_coerce, iter(values), "matrix")
+        want = _outcome(_coerce_reference, iter(values), "matrix")
+        if want[0] != "returns":
+            assert got == want
+            return
+        assert got[0] == "returns"
+        (flat, exact), (ref_flat, ref_exact) = got[1], want[1]
+        assert exact == ref_exact
+        plain = Fraction if exact else float
+        assert [(type(x), repr(x)) for x in flat] == [(plain, repr(x)) for x in ref_flat]
+        assert all(type(x) is plain for x in ref_flat)
+
+    @given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, 5e-324, 1e308]), min_size=1))
+    @settings(max_examples=500)
+    def test_float_positivity_check_matches_the_reference(self, values):
+        flat = tuple(values)
+
+        def describe(k):
+            return f"entry {k + 1}", flat[k]
+
+        assert _outcome(_require_positive, flat, False, describe) == _outcome(
+            _require_positive_reference, flat, False, describe
+        )
 
     def test_rejects_negative_entry(self):
         with pytest.raises(NonPositiveEntryError):
