@@ -28,6 +28,18 @@ def _require_positive(**named) -> None:
             raise ValueError(f"entry {name} must be positive, got {v}")
 
 
+class FloatRangeError(ValueError):
+    """A float closed form whose value leaves float range: an entry or
+    scaler underflows to 0, overflows to inf, or comes out NaN."""
+
+
+def _require_float_range(what: str, args: tuple, **named: float) -> None:
+    """Raise FloatRangeError unless every named value is positive and finite."""
+    for name, v in named.items():
+        if not 0 < v < math.inf:
+            raise FloatRangeError(f"{what} = {args} leaves float range: {name} = {v!r}")
+
+
 @dataclass(frozen=True)
 class Limit2x2:
     """Limit (alpha beta; beta alpha) of a positive 2x2 matrix, with the
@@ -49,13 +61,17 @@ def limit_2x2(a: float, b: float, c: float, d: float) -> Limit2x2:
     _require_positive(a=a, b=b, c=c, d=d)
     sad = math.sqrt(a * d)
     sbc = math.sqrt(b * c)
-    alpha = sad / (sad + sbc)
-    beta = sbc / (sad + sbc)
     scd = math.sqrt(c * d)
     sab = math.sqrt(a * b)
-    left = DiagonalScaling((scd, sab))
-    right = DiagonalScaling((1.0 / (a * scd + c * sab), 1.0 / (b * scd + d * sab)))
-    return Limit2x2(alpha, beta, left, right)
+    what = "2x2 limit of a, b, c, d", (a, b, c, d)
+    try:
+        alpha = sad / (sad + sbc)
+        beta = sbc / (sad + sbc)
+        y1, y2 = 1.0 / (a * scd + c * sab), 1.0 / (b * scd + d * sab)
+    except ZeroDivisionError:  # raises: a denominator underflowed
+        _require_float_range(*what, denominator=0.0)
+    _require_float_range(*what, alpha=alpha, beta=beta, x1=scd, x2=sab, y1=y1, y2=y2)
+    return Limit2x2(alpha, beta, DiagonalScaling((scd, sab)), DiagonalScaling((y1, y2)))
 
 
 @dataclass(frozen=True)
@@ -125,9 +141,14 @@ def limit_2x2_symmetric(a: float, b: float, d: float) -> SymmetricLimit2x2:
     sad = math.sqrt(a * d)
     alpha = sad / (sad + b)
     beta = b / (sad + b)
-    lam = 1.0 / math.sqrt(a * b * d + b * b * sad)
-    scaler = DiagonalScaling((lam * math.sqrt(b * d), lam * math.sqrt(a * b)))
-    return SymmetricLimit2x2(alpha, beta, scaler, lam)
+    what = "symmetric 2x2 limit of a, b, d", (a, b, d)
+    try:
+        lam = 1.0 / math.sqrt(a * b * d + b * b * sad)
+    except ZeroDivisionError:  # raises: a denominator underflowed
+        _require_float_range(*what, denominator=0.0)
+    d1, d2 = lam * math.sqrt(b * d), lam * math.sqrt(a * b)
+    _require_float_range(*what, alpha=alpha, beta=beta, lam=lam, d1=d1, d2=d2)
+    return SymmetricLimit2x2(alpha, beta, DiagonalScaling((d1, d2)), lam)
 
 
 @dataclass(frozen=True)
@@ -170,24 +191,6 @@ def bordered_matrix(n: int, K: Scalar) -> PositiveMatrix:
     return PositiveMatrix((first,) + (other,) * (n - 1))
 
 
-def _bordered_from_alpha(n: int, K: Scalar, alpha: Scalar) -> BorderedLimit:
-    if not 0 < alpha < 1:
-        raise ArithmeticError(
-            f"internal error: corner limit {alpha} outside (0, 1) for n={n}, K={K}"
-        )
-    beta = (1 - alpha) / (n - 1)
-    gamma = (n - 2 + alpha) / (n - 1) ** 2
-    return BorderedLimit(
-        n=n,
-        K=K,
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        x1=math.sqrt(alpha / K),
-        x2=math.sqrt(gamma),
-    )
-
-
 def bordered_limit(n: int, K: float) -> BorderedLimit:
     """Closed-form limit of the bordered matrix for any K > 0, n >= 3.
 
@@ -209,7 +212,13 @@ def bordered_limit(n: int, K: float) -> BorderedLimit:
         )
     disc = 4.0 * (n - 1) * K + (n - 2) ** 2
     alpha = 2.0 * K / (2.0 * K + n - 2 + math.sqrt(disc))
-    return _bordered_from_alpha(n, K, alpha)
+    beta = (1 - alpha) / (n - 1)
+    gamma = (n - 2 + alpha) / (n - 1) ** 2
+    x1, x2 = math.sqrt(alpha / K), math.sqrt(gamma)
+    _require_float_range(
+        "bordered limit of n, K", (n, K), alpha=alpha, beta=beta, gamma=gamma, x1=x1, x2=x2
+    )
+    return BorderedLimit(n=n, K=K, alpha=alpha, beta=beta, gamma=gamma, x1=x1, x2=x2)
 
 
 def bordered_limit_triangular(k: int) -> BorderedLimit:

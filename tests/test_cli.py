@@ -1,11 +1,14 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from sinkhornlab import PositiveMatrix
-from sinkhornlab.cli import main
+from sinkhornlab import PositiveMatrix, cli
+from sinkhornlab.cli import build_parser, main
 
 F = Fraction
 
@@ -112,11 +115,15 @@ class TestScale:
         assert "mode: exact" in out
 
     def test_tolerance_env_override(self, capsys, monkeypatch):
+        """The variable is read on every call, so a change between calls counts."""
+        argv = ("scale", "1,3;3,4", "--format", "json")
+        _, before_out, _ = run(capsys, *argv)
         monkeypatch.setenv("SINKHORNLAB_TOLERANCE", "1e-2")
-        _, loose_out, _ = run(capsys, "scale", "1,3;3,4", "--format", "json")
+        _, loose_out, _ = run(capsys, *argv)
         monkeypatch.delenv("SINKHORNLAB_TOLERANCE")
-        _, tight_out, _ = run(capsys, "scale", "1,3;3,4", "--format", "json")
-        assert json.loads(loose_out)["steps"] < json.loads(tight_out)["steps"]
+        _, tight_out, _ = run(capsys, *argv)
+        steps = [json.loads(out)["steps"] for out in (before_out, loose_out, tight_out)]
+        assert steps[1] < steps[0] == steps[2]
 
 
 class TestRcScale:
@@ -304,19 +311,167 @@ class TestSearch:
         assert all(h["length"] <= 2 for h in payload["hits"])
 
 
+def assert_golden(case, code, out, err):
+    """A case stored without output must fail cleanly: exit 1 and one error line."""
+    if case["stdout"] is None:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def golden_case(*argv):
+    return next(case for case in GOLDEN_CASES if case["argv"] == list(argv))
+
+
 @pytest.mark.parametrize(
     "case", GOLDEN_CASES, ids=[" ".join(case["argv"]) for case in GOLDEN_CASES]
 )
 def test_golden_replay(case, capsys, monkeypatch):
     """Every recorded CLI case replays byte for byte: exit code, stdout, stderr.
 
-    The cases name matrix files relative to the repository root. A case
-    stored without output must fail cleanly: exit 1 and one error line.
+    The cases name matrix files relative to the repository root.
     """
     monkeypatch.chdir(ROOT)
-    code, out, err = run(capsys, *case["argv"])
-    if case["stdout"] is None:
-        assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-    else:
-        assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+    assert_golden(case, *run(capsys, *case["argv"]))
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no call may leak into the next."""
+
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch, request):
+        builds = []
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        request.addfinalizer(cli._parser.cache_clear)
+        argvs = [("scale", "1,3;3,4"), ("classify", "1,2;3,4", "--format", "json"),
+                 ("limit", "--triangular", "3"), ("scale", "1,x;1,1")]
+        for i in range(20):
+            run(capsys, *argvs[i % len(argvs)])
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_new_parser(self, capsys):
+        changed = build_parser()
+        assert changed is not build_parser()
+        changed.add_argument("--extra", required=True)
+        case = golden_case("scale", "--exact", "1,12;3,4")
+        assert_golden(case, *run(capsys, *case["argv"]))
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scale", "1,3;3,4", "--max-steps", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        case = golden_case("classify", "2,6;5,15", "--start-side", "row")
+        assert_golden(case, *run(capsys, *case["argv"]))
+
+    def test_json_then_human(self, capsys):
+        case = golden_case("limit", "--symmetric", "1,2;2,4")
+        code, out, _ = run(capsys, *case["argv"], "--format", "json")
+        assert code == 0 and json.loads(out)["family"] == "symmetric"
+        assert_golden(case, *run(capsys, *case["argv"]))
+
+    def test_golden_cases_replay_again_in_reverse(self, capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        for case in reversed(GOLDEN_CASES):
+            assert_golden(case, *run(capsys, *case["argv"]))
+
+
+def mostly(valid, invalid):
+    """Values drawn from valid three times as often as from invalid, so
+    that most fuzzed argvs get past parsing and run a command."""
+    return st.sampled_from(tuple(valid) * 3 + tuple(invalid))
+
+
+entry = mostly(("1", "2", "3", "7", "1/2", "4/3", "0.25"),
+               ("1/0", "nan", "inf", "1e400", "5e-324", "1e300", "1e-300", "", "x", "0", "-1"))
+# An exact run that is not 2x2 has no bits cap: from entries like 5e-324
+# its bit sizes double each step, so steps stay at most 4 (ROADMAP item 4).
+step_budget = mostly(("1", "2", "3", "4"), ("0", "-1"))
+flag_values = {
+    "--start-side": mostly(("column", "row"), ("diagonal",)),
+    "--tol": mostly(("0", "1e-9", "0.5"), ("-1", "nan", "1e400", "x")),
+    "--format": mostly(("human", "json"), ("xml",)),
+    "--max-steps": step_budget,
+    "--bits-cap": mostly(("8", "64"), ("0", "-1")),
+    "--candidate-cap": mostly(("100",), ("1", "-1")),
+}
+
+
+@st.composite
+def matrix_text(draw, sizes=(2, 2, 3, 1)):
+    rows = draw(st.sampled_from(sizes))
+    cols = draw(mostly((rows,), (1, 2, 3)))
+    cells = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and draw(mostly((False,), (True,))):
+        cells[-1].pop()  # ragged, or an empty last row
+    return [";".join(map(",".join, cells))]
+
+
+@st.composite
+def optional_flags(draw, *flags):
+    argv = []
+    for flag in flags:
+        if draw(st.booleans()):
+            argv += [flag, draw(flag_values[flag])] if flag in flag_values else [flag]
+    return argv
+
+
+def flat(parts):
+    return [arg for part in parts for arg in part]
+
+
+def argv_of(*parts):
+    return st.tuples(*parts).map(flat)
+
+
+vector_text = st.lists(entry, min_size=1, max_size=3).map(",".join)
+limit_sources = st.one_of(
+    matrix_text(),
+    st.tuples(st.just("--bordered"), mostly(("3", "4", "10"), ("2", "-1", "x")), entry),
+    st.integers(-1, 30).map(lambda k: ["--triangular", str(k)]),
+)
+fuzz_argv = st.one_of(
+    argv_of(st.just(["scale"]), matrix_text(), st.tuples(st.just("--max-steps"), step_budget),
+            optional_flags("--exact", "--start-side", "--tol", "--format")),
+    argv_of(st.just(["rc-scale"]), matrix_text(),
+            st.tuples(st.just("--row-targets"), vector_text, st.just("--col-targets"), vector_text),
+            st.tuples(st.just("--max-steps"), step_budget),
+            optional_flags("--exact", "--start-side", "--tol", "--format")),
+    argv_of(st.just(["trace"]), matrix_text(), st.tuples(st.just("--steps"), step_budget),
+            optional_flags("--exact", "--start-side", "--tol")),
+    argv_of(st.just(["limit"]), st.lists(limit_sources, max_size=2).map(flat),
+            optional_flags("--exact", "--symmetric", "--format")),
+    argv_of(st.just(["classify"]), matrix_text(sizes=(2, 2, 2, 3)),
+            optional_flags("--start-side", "--both-orders", "--format")),
+    argv_of(st.just(["search", "--n", "2"]), st.tuples(st.just("--bound"), mostly(("1", "2", "3"), ("0", "-1"))),
+            optional_flags("--start-side", "--normalize-rows", "--format", "--max-steps",
+                           "--bits-cap", "--candidate-cap")),
+)
+
+
+@given(fuzz_argv)
+@example(["limit", "--bordered", "3", "1e300"])
+@example(["limit", "--bordered", "10", "5e-324"])
+@example(["limit", "--bordered", "3", "1.7976931348623157e308"])
+@example(["limit", "1e-300,1/2;1e-300,1"])
+@example(["limit", "1e-200,1e-200;1e-200,1e-200", "--symmetric"])
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_argv_exits_cleanly(argv):
+    """main() on any argv exits 0, 1 or 2 (argparse's usage exit included),
+    an exit of 1 prints exactly one error line, and nothing else escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert (out.getvalue(), err.getvalue().count("\n")) == ("", 1), argv
+        assert err.getvalue().startswith("error: "), argv

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sinkhornlab import (
+    FloatRangeError,
     IterationConfig,
     PositiveMatrix,
     Status,
@@ -286,3 +288,21 @@ class TestBorderedMatrix:
             bordered_matrix(1, 2)
         with pytest.raises(ValueError):
             bordered_matrix(3, 0)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (bordered_limit, (3, 1e300), "n, K = (3, 1e+300) leaves float range: beta = 0.0"),
+        (bordered_limit, (10, 5e-324), "n, K = (10, 5e-324) leaves float range: alpha = 0.0"),
+        (bordered_limit, (3, sys.float_info.max), "leaves float range: alpha = nan"),
+        (limit_2x2, (1e-300, 0.5, 1e-300, 1.0), "leaves float range: denominator = 0.0"),
+        (limit_2x2, (1e300, 1.0, 1.0, 1e300), "leaves float range: alpha = nan"),
+        (limit_2x2_symmetric, (1e-200, 1e-200, 1e-200), "leaves float range: denominator = 0.0"),
+    ],
+)
+def test_float_closed_forms_outside_float_range_raise_a_value_error(call, args, message):
+    """An underflow, overflow or NaN in a float closed form is an input
+    error naming the arguments, not an ArithmeticError."""
+    with pytest.raises(FloatRangeError, match=re.escape(message)):
+        call(*args)
