@@ -138,30 +138,6 @@ def classify_2x2(
     return verdict
 
 
-def reconstruct(verdict: TerminationClass) -> PositiveMatrix | None:
-    """Rebuild the classified matrix from the extracted parameters.
-
-    Returns None for infinite verdicts (they carry no parametrization).
-    """
-    p = verdict.params
-    v = verdict.variant
-    if v is Termination.ALREADY_DOUBLY_STOCHASTIC:
-        return verdict.limit
-    if v is Termination.ONE_STEP_COLUMN:
-        a, c, t = p["a"], p["c"], p["t"]
-        return PositiveMatrix(((a, c * t), (c, a * t)))
-    if v is Termination.ONE_STEP_ROW:
-        a, b, t = p["a"], p["b"], p["t"]
-        return PositiveMatrix(((a, b), (b * t, a * t)))
-    if v is Termination.TWO_STEP_COLUMN_LAST:
-        pp, r, t = p["p"], p["r"], p["t"]
-        return PositiveMatrix(((pp, pp * t), (r, r * t)))
-    if v is Termination.TWO_STEP_ROW_LAST:
-        pp, q, t = p["p"], p["q"], p["t"]
-        return PositiveMatrix(((pp, q), (pp * t, q * t)))
-    return None
-
-
 @dataclass(frozen=True)
 class OrderComparison:
     """Verdicts under both start orders, for step-count comparison.
@@ -188,27 +164,3 @@ def classify_both_orders(A: PositiveMatrix) -> OrderComparison:
         column_first=classify_2x2(A, StartSide.COLUMN_FIRST),
         row_first=classify_2x2(A, StartSide.ROW_FIRST),
     )
-
-
-@dataclass(frozen=True)
-class StochasticOneStepForm:
-    """A stochastic-on-one-side matrix that one more scaling flattens.
-
-    shape is "row-stochastic" for (a 1-a; a 1-a) with a != 1/2 (equal
-    rows; column scaling lands on the flat matrix) or
-    "column-stochastic" for the transposed form (a a; 1-a 1-a).
-    """
-
-    shape: str
-    a: Fraction
-    limit: PositiveMatrix
-
-
-def stochastic_one_step_forms(A: PositiveMatrix) -> StochasticOneStepForm | None:
-    """Detect the two stochastic-but-not-doubly-stochastic one-step shapes."""
-    a, b, c, d = _require_exact_2x2(A)
-    if a == c and b == d and a + b == 1 and a != _HALF:
-        return StochasticOneStepForm("row-stochastic", a, _flat_limit())
-    if a == b and c == d and a + c == 1 and a != _HALF:
-        return StochasticOneStepForm("column-stochastic", a, _flat_limit())
-    return None

@@ -24,6 +24,7 @@ SINKHORNLAB_TOLERANCE overrides the default approximate tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -48,7 +49,6 @@ from .closed_form import (
 )
 from .engine import (
     IterationConfig,
-    SinkhornResult,
     StartSide,
     Status,
     finite_termination_search,
@@ -130,6 +130,20 @@ def _fmt_matrix(rows) -> str:
     )
 
 
+def _value_lines(obj: dict, *names: str, exact: bool = False) -> list[str]:
+    """'name = value' lines of JSON fields, each name padded to 5 columns."""
+    suffix = " (exact)" if exact else ""
+    return [f"{name:<5} = {_text(obj[name])}{suffix}" for name in names]
+
+
+def _limit_lines(limit: dict) -> list[str]:
+    return ["limit:", _fmt_matrix(limit["rows"])]
+
+
+def _scaling_lines(obj: dict) -> list[str]:
+    return [f"left scaling:  {_fmt_diag(obj['left'])}", f"right scaling: {_fmt_diag(obj['right'])}"]
+
+
 def _matrix_inline(rows) -> str:
     return ";".join(",".join(map(_text, row)) for row in rows)
 
@@ -170,12 +184,11 @@ def _iteration_config(args, exact: bool) -> IterationConfig:
     )
 
 
-def _status_line(res: SinkhornResult) -> str:
-    if res.status is Status.TERMINATED_FINITE:
-        return f"terminated finitely, L = {res.steps_taken}"
-    if res.status is Status.CONVERGED:
-        return f"converged within tolerance after {res.steps_taken} steps"
-    return f"max steps reached after {res.steps_taken} steps"
+_STATUS_LINES = {
+    Status.TERMINATED_FINITE: "terminated finitely, L = {}",
+    Status.CONVERGED: "converged within tolerance after {} steps",
+    Status.MAX_STEPS_REACHED: "max steps reached after {} steps",
+}
 
 
 def cmd_scale(args) -> int:
@@ -192,14 +205,8 @@ def cmd_scale(args) -> int:
         "left": [_json_scalar(x) for x in res.left_accum.diag],
         "right": [_json_scalar(x) for x in res.right_accum.diag],
     }
-    lines = [
-        f"mode: {mode}",
-        f"status: {_status_line(res)}",
-        "limit:",
-        _fmt_matrix(obj["limit"]["rows"]),
-        f"left scaling:  {_fmt_diag(obj['left'])}",
-        f"right scaling: {_fmt_diag(obj['right'])}",
-    ]
+    lines = [f"mode: {mode}", f"status: {_STATUS_LINES[res.status].format(res.steps_taken)}"]
+    lines += _limit_lines(obj["limit"]) + _scaling_lines(obj)
     _emit(args.format, obj, lines)
     return 0 if res.status in (Status.TERMINATED_FINITE, Status.CONVERGED) else 2
 
@@ -211,7 +218,7 @@ def _verdict_lines(v: dict) -> list[str]:
     if v["params"]:
         lines.append("parameters: " + ", ".join(f"{k} = {val}" for k, val in v["params"].items()))
     if v["limit"] is not None:
-        lines += ["limit:", _fmt_matrix(v["limit"]["rows"])]
+        lines += _limit_lines(v["limit"])
     return lines
 
 
@@ -229,14 +236,10 @@ def _closed_form_note(A: PositiveMatrix):
     (a, b), (c, d) = A.entries
     exact = limit_2x2_exact(a, b, c, d)
     if exact.is_rational:
-        return (
-            f"closed-form limit: alpha = {exact.alpha}, beta = {exact.beta}",
-            {"alpha": str(exact.alpha), "beta": str(exact.beta), "rational": True},
-        )
-    return (
-        f"closed-form limit is irrational: ad/bc = {exact.ratio} is not a rational square",
-        {"ratio": str(exact.ratio), "rational": False},
-    )
+        fields = {"alpha": str(exact.alpha), "beta": str(exact.beta), "rational": True}
+        return f"closed-form limit: alpha = {fields['alpha']}, beta = {fields['beta']}", fields
+    fields = {"ratio": str(exact.ratio), "rational": False}
+    return f"closed-form limit is irrational: ad/bc = {fields['ratio']} is not a rational square", fields
 
 
 def cmd_classify(args) -> int:
@@ -298,39 +301,19 @@ def cmd_limit(args) -> int:
     if args.bordered:
         n = int(args.bordered[0])
         K = _parse_scalar(args.bordered[1], exact=False)
-        lim = bordered_limit(n, K)
-        obj = {
-            "family": "bordered",
-            "n": n,
-            "K": K,
-            "alpha": lim.alpha,
-            "beta": lim.beta,
-            "gamma": lim.gamma,
-            "x1": lim.x1,
-            "x2": lim.x2,
-        }
+        obj = {"family": "bordered", **dataclasses.asdict(bordered_limit(n, K))}
         lines = [
             f"bordered family: n = {n}, K = {K!r}",
-            f"alpha = {lim.alpha!r}",
-            f"beta  = {lim.beta!r}",
-            f"gamma = {lim.gamma!r}",
-            f"scaler: diag(x1, x2, ..., x2) with x1 = {lim.x1!r}, x2 = {lim.x2!r}",
+            *_value_lines(obj, "alpha", "beta", "gamma"),
+            f"scaler: diag(x1, x2, ..., x2) with x1 = {obj['x1']!r}, x2 = {obj['x2']!r}",
         ]
     elif args.triangular:
         lim = bordered_limit_triangular(args.triangular)
-        obj = {
-            "family": "triangular",
-            "k": args.triangular,
-            "K": str(lim.K),
-            "alpha": str(lim.alpha),
-            "beta": str(lim.beta),
-            "gamma": str(lim.gamma),
-        }
+        obj = {"family": "triangular", "k": args.triangular}
+        obj.update((name, str(getattr(lim, name))) for name in ("K", "alpha", "beta", "gamma"))
         lines = [
-            f"triangular family: k = {args.triangular}, K = {lim.K}",
-            f"alpha = {lim.alpha} (exact)",
-            f"beta  = {lim.beta} (exact)",
-            f"gamma = {lim.gamma} (exact)",
+            f"triangular family: k = {args.triangular}, K = {obj['K']}",
+            *_value_lines(obj, "alpha", "beta", "gamma", exact=True),
         ]
     elif args.symmetric:
         if b != c:
@@ -344,14 +327,8 @@ def cmd_limit(args) -> int:
             "scaler": [float(x) for x in lim.scaler.diag],
             "limit": lim.matrix().to_json_obj(),
         }
-        lines = [
-            f"alpha = {lim.alpha!r}",
-            f"beta  = {lim.beta!r}",
-            f"lambda = {lim.lam!r}",
-            f"scaler: {_fmt_diag(obj['scaler'])}",
-            "limit:",
-            _fmt_matrix(obj["limit"]["rows"]),
-        ]
+        lines = _value_lines(obj, "alpha", "beta", "lambda")
+        lines += [f"scaler: {_fmt_diag(obj['scaler'])}"] + _limit_lines(obj["limit"])
     elif args.exact:
         lim = limit_2x2_exact(a, b, c, d)
         obj = {
@@ -362,12 +339,8 @@ def cmd_limit(args) -> int:
             "beta": None if lim.beta is None else str(lim.beta),
         }
         if lim.is_rational:
-            lines = [
-                f"alpha = {lim.alpha} (exact)",
-                f"beta  = {lim.beta} (exact)",
-                "limit:",
-                _fmt_matrix(lim.matrix().to_json_obj()["rows"]),
-            ]
+            lines = _value_lines(obj, "alpha", "beta", exact=True)
+            lines += _limit_lines(lim.matrix().to_json_obj())
         else:
             lines = [f"irrational: ad/bc = {lim.ratio} is not a rational square"]
     else:
@@ -380,14 +353,7 @@ def cmd_limit(args) -> int:
             "right": [float(x) for x in lim.right.diag],
             "limit": lim.matrix().to_json_obj(),
         }
-        lines = [
-            f"alpha = {lim.alpha!r}",
-            f"beta  = {lim.beta!r}",
-            f"left scaling:  {_fmt_diag(obj['left'])}",
-            f"right scaling: {_fmt_diag(obj['right'])}",
-            "limit:",
-            _fmt_matrix(obj["limit"]["rows"]),
-        ]
+        lines = _value_lines(obj, "alpha", "beta") + _scaling_lines(obj) + _limit_lines(obj["limit"])
     _emit(args.format, {"command": "limit", **obj}, lines)
     return 0
 

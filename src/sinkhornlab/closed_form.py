@@ -28,6 +28,11 @@ def _require_positive(**named) -> None:
             raise ValueError(f"entry {name} must be positive, got {v}")
 
 
+def _alpha_beta_matrix(alpha: Scalar, beta: Scalar) -> PositiveMatrix:
+    """The 2x2 limit (alpha beta; beta alpha)."""
+    return PositiveMatrix(((alpha, beta), (beta, alpha)))
+
+
 class FloatRangeError(ValueError):
     """A float closed form whose value leaves float range: an entry or
     scaler underflows to 0, overflows to inf, or comes out NaN."""
@@ -51,9 +56,7 @@ class Limit2x2:
     right: DiagonalScaling
 
     def matrix(self) -> PositiveMatrix:
-        return PositiveMatrix(
-            ((self.alpha, self.beta), (self.beta, self.alpha))
-        )
+        return _alpha_beta_matrix(self.alpha, self.beta)
 
 
 def limit_2x2(a: float, b: float, c: float, d: float) -> Limit2x2:
@@ -95,9 +98,7 @@ class ExactLimit2x2:
     def matrix(self) -> PositiveMatrix | None:
         if self.alpha is None:
             return None
-        return PositiveMatrix(
-            ((self.alpha, self.beta), (self.beta, self.alpha))
-        )
+        return _alpha_beta_matrix(self.alpha, self.beta)
 
 
 def limit_2x2_exact(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> ExactLimit2x2:
@@ -126,9 +127,7 @@ class SymmetricLimit2x2:
     lam: float  # scaler = lam * diag(1/row_1, 1/row_2)-style row scaling
 
     def matrix(self) -> PositiveMatrix:
-        return PositiveMatrix(
-            ((self.alpha, self.beta), (self.beta, self.alpha))
-        )
+        return _alpha_beta_matrix(self.alpha, self.beta)
 
 
 def limit_2x2_symmetric(a: float, b: float, d: float) -> SymmetricLimit2x2:

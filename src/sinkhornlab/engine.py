@@ -390,6 +390,10 @@ def finite_termination_search(
         raise ValueError(f"search needs n >= 2, got {n}")
     if bound < 1:
         raise ValueError(f"search needs bound >= 1, got {bound}")
+    if max_steps < 1:
+        raise ValueError(f"search needs max_steps >= 1, got {max_steps}")
+    if entry_bits_cap is not None and entry_bits_cap < 1:
+        raise ValueError(f"search needs entry_bits_cap >= 1, got {entry_bits_cap}")
     total = bound ** (n * n)
     if total > candidate_cap:
         raise ValueError(

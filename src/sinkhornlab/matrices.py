@@ -328,8 +328,9 @@ def apply_right(A: PositiveMatrix, D: DiagonalScaling) -> PositiveMatrix:
 def _resolve_tol(A: PositiveMatrix, tol: float | None) -> Scalar:
     if tol is None:
         return 0 if A.exact else DEFAULT_TOLERANCE
-    if not tol >= 0:  # also rejects NaN, which no margin error would ever meet
-        raise ValueError(f"tolerance must be nonnegative, got {tol}")
+    # NaN is never met and inf is met by any input, so both are rejected
+    if not 0 <= tol < inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     if A.exact and tol != 0:
         raise ValueError("exact regime requires tolerance 0")
     return tol

@@ -1,5 +1,9 @@
+import importlib.util
+import re
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +21,7 @@ from sinkhornlab import (
     apply_right,
     classify_2x2,
     classify_both_orders,
-    reconstruct,
     sinkhorn,
-    stochastic_one_step_forms,
     termination_length_2x2,
 )
 
@@ -140,6 +142,30 @@ class TestSoundness:
                         assert v.length == termination_length_2x2(A, max_steps=64)
 
 
+def reconstruct(verdict):
+    """Rebuild the classified matrix from the extracted parameters.
+
+    Returns None for infinite verdicts (they carry no parametrization).
+    """
+    p = verdict.params
+    v = verdict.variant
+    if v is Termination.ALREADY_DOUBLY_STOCHASTIC:
+        return verdict.limit
+    if v is Termination.ONE_STEP_COLUMN:
+        a, c, t = p["a"], p["c"], p["t"]
+        return PositiveMatrix(((a, c * t), (c, a * t)))
+    if v is Termination.ONE_STEP_ROW:
+        a, b, t = p["a"], p["b"], p["t"]
+        return PositiveMatrix(((a, b), (b * t, a * t)))
+    if v is Termination.TWO_STEP_COLUMN_LAST:
+        pp, r, t = p["p"], p["r"], p["t"]
+        return PositiveMatrix(((pp, pp * t), (r, r * t)))
+    if v is Termination.TWO_STEP_ROW_LAST:
+        pp, q, t = p["p"], p["q"], p["t"]
+        return PositiveMatrix(((pp, q), (pp * t, q * t)))
+    return None
+
+
 class TestRoundTrip:
     @given(exact_matrices_2x2(), st.sampled_from(list(StartSide)))
     @settings(max_examples=200)
@@ -199,30 +225,55 @@ class TestBothOrders:
 
 
 class TestStochasticOneStepForms:
+    """A matrix stochastic on one side but not doubly stochastic is a
+    one-step verdict with the flat limit when the other side is scaled
+    first: equal rows (a 1-a; a 1-a) under column-first, equal columns
+    (a a; 1-a 1-a) under row-first."""
+
     def test_row_stochastic_shape(self):
-        form = stochastic_one_step_forms(M((F(1, 3), F(2, 3)), (F(1, 3), F(2, 3))))
-        assert form is not None
-        assert form.shape == "row-stochastic"
-        assert form.a == F(1, 3)
-        assert form.limit == FLAT
+        v = classify_2x2(M((F(1, 3), F(2, 3)), (F(1, 3), F(2, 3))), StartSide.COLUMN_FIRST)
+        assert v.variant is Termination.ONE_STEP_COLUMN
+        assert v.params["a"] == F(1, 3)
+        assert v.limit == FLAT
 
     def test_column_stochastic_shape(self):
-        form = stochastic_one_step_forms(M((F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))))
-        assert form is not None
-        assert form.shape == "column-stochastic"
-        assert form.a == F(1, 4)
+        v = classify_2x2(M((F(1, 4), F(1, 4)), (F(3, 4), F(3, 4))), StartSide.ROW_FIRST)
+        assert v.variant is Termination.ONE_STEP_ROW
+        assert v.params["a"] == F(1, 4)
+        assert v.limit == FLAT
 
     def test_flat_matrix_is_excluded(self):
-        assert stochastic_one_step_forms(FLAT) is None
+        for side in StartSide:
+            assert classify_2x2(FLAT, side).variant is Termination.ALREADY_DOUBLY_STOCHASTIC
 
     def test_generic_matrix_has_no_form(self):
-        assert stochastic_one_step_forms(M((1, 3), (3, 4))) is None
+        for side in StartSide:
+            assert classify_2x2(M((1, 3), (3, 4)), side).variant is Termination.INFINITE
 
     @given(positive_fractions.filter(lambda a: 0 < a < 1 and a != F(1, 2)))
     @settings(max_examples=80)
     def test_detected_forms_flatten_in_one_scaling(self, a):
         A = M((a, 1 - a), (a, 1 - a))
-        form = stochastic_one_step_forms(A)
-        assert form is not None and form.a == a
+        v = classify_2x2(A, StartSide.COLUMN_FIRST)
+        assert v.variant is Termination.ONE_STEP_COLUMN and v.params["a"] == a
         res = sinkhorn(A)
         assert res.steps_taken == 1 and res.limit == FLAT
+        transposed = classify_2x2(M((a, a), (1 - a, 1 - a)), StartSide.ROW_FIRST)
+        assert transposed.variant is Termination.ONE_STEP_ROW and transposed.limit == FLAT
+
+
+def test_start_order_comparison_script(capsys, monkeypatch):
+    """scripts/start_order_comparison.py tabulates (N1, N2) over all 81
+    matrices with entries in {1/2, 1, 2}."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "start_order_comparison.py"
+    spec = importlib.util.spec_from_file_location("start_order_comparison", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), "--bound", "2"])
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "81 matrices with entries over 3 reduced rationals (bound 2)"
+    rows = [line.split() for line in lines[2:-1]]
+    assert all(re.fullmatch(r"(\d+|inf) (\d+|inf) \d+", " ".join(row)) for row in rows)
+    assert sum(int(count) for _, _, count in rows) == 81
+    assert lines[-1] == "max |N1 - N2| over doubly finite matrices: 1"

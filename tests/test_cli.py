@@ -114,6 +114,13 @@ class TestScale:
         assert code == 0
         assert "mode: exact" in out
 
+    @pytest.mark.parametrize("tol", ["inf", "1e400", "nan", "-1"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tol):
+        # inf once reported the unscaled input as converged after 0 steps
+        code, out, err = run(capsys, "scale", "1,2;3,4", "--tol", tol)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: tolerance must be finite and nonnegative") and err.count("\n") == 1
+
     def test_tolerance_env_override(self, capsys, monkeypatch):
         """The variable is read on every call, so a change between calls counts."""
         argv = ("scale", "1,3;3,4", "--format", "json")
@@ -157,9 +164,10 @@ class TestLimit:
         assert "irrational: ad/bc = 2/3" in out
 
     def test_exact_rational(self, capsys):
+        # no golden case covers a rational --exact limit
         code, out, _ = run(capsys, "limit", "--exact", "1,3;3,4")
         assert code == 0
-        assert "alpha = 2/5" in out
+        assert out == "alpha = 2/5 (exact)\nbeta  = 3/5 (exact)\nlimit:\n  2/5  3/5\n  3/5  2/5\n"
 
     def test_symmetric(self, capsys):
         code, out, _ = run(capsys, "limit", "--symmetric", "1,2;2,4")
@@ -304,6 +312,13 @@ class TestSearch:
         assert code == 1
         assert "exceeds" in err
 
+    @pytest.mark.parametrize("flag", [["--max-steps", "0"], ["--max-steps", "-5"], ["--bits-cap", "-1"]])
+    def test_empty_budget_exits_one(self, capsys, flag):
+        # these once printed "finite terminations: 0" and exited 0
+        code, out, err = run(capsys, "search", "--n", "2", "--bound", "3", *flag)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: search needs ") and err.count("\n") == 1
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "search", "--n", "2", "--bound", "2", "--format", "json")
         payload = json.loads(out)
@@ -334,6 +349,26 @@ def test_golden_replay(case, capsys, monkeypatch):
     """
     monkeypatch.chdir(ROOT)
     assert_golden(case, *run(capsys, *case["argv"]))
+
+
+LIMIT_JSON = json.loads((ROOT / "tests" / "limit_json_pins.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(LIMIT_JSON))
+def test_limit_json_pinned(key, capsys, monkeypatch):
+    """Every exit-0 golden limit case, rerun with --format json, prints the
+    bytes captured before the limit families shared their renderers."""
+    case = golden_case(*key.split(" "))
+    assert case["exit"] == 0
+    monkeypatch.chdir(ROOT)
+    assert run(capsys, *case["argv"], "--format", "json") == (0, LIMIT_JSON[key], "")
+
+
+def test_limit_json_pins_cover_every_family():
+    limit_cases = [" ".join(c["argv"]) for c in GOLDEN["cases"] if c["argv"][0] == "limit" and c["exit"] == 0]
+    assert sorted(limit_cases) == sorted(LIMIT_JSON)
+    families = {json.loads(out)["family"] for out in LIMIT_JSON.values()}
+    assert families == {"bordered", "triangular", "symmetric", "exact-2x2", "general-2x2"}
 
 
 class TestParserReuse:

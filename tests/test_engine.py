@@ -135,9 +135,11 @@ class TestApproximateIteration:
         assert res.status is Status.MAX_STEPS_REACHED
         assert res.steps_taken == 2
 
-    def test_nan_tolerance_rejected(self):
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nan_tolerance_rejected(self, tol):
+        # inf would accept the unscaled input as converged after 0 steps
         with pytest.raises(ValueError, match="nonnegative"):
-            sinkhorn(M((1.0, 3.0), (3.0, 4.0)), IterationConfig(tolerance=float("nan")))
+            sinkhorn(M((1.0, 3.0), (3.0, 4.0)), IterationConfig(tolerance=float(tol)))
 
     @pytest.mark.parametrize(
         "rows,message",
@@ -431,6 +433,23 @@ class TestSearch:
     def test_candidate_cap(self):
         with pytest.raises(ValueError):
             finite_termination_search(3, 10, candidate_cap=1000)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"max_steps": 0}, "max_steps >= 1, got 0"),
+            ({"max_steps": -5}, "max_steps >= 1, got -5"),
+            ({"entry_bits_cap": 0}, "entry_bits_cap >= 1, got 0"),
+            ({"entry_bits_cap": -1}, "entry_bits_cap >= 1, got -1"),
+        ],
+    )
+    def test_empty_budgets_are_rejected(self, kwargs, message):
+        # an empty budget would drop every candidate: 0 hits where 21 are due
+        with pytest.raises(ValueError, match=message):
+            finite_termination_search(2, 3, **kwargs)
+
+    def test_bits_cap_can_be_switched_off(self):
+        assert len(finite_termination_search(2, 3, entry_bits_cap=None)) == 21
 
     def test_bits_cap_guards_nonterminating_exact_runs(self):
         A = M((1, 2, 3), (2, 1, 1), (1, 5, 2))
