@@ -76,10 +76,6 @@ class TerminationClass:
     def length(self) -> int | None:
         return _LENGTHS[self.variant]
 
-    @property
-    def is_finite(self) -> bool:
-        return self.variant is not Termination.INFINITE
-
 
 def classify_2x2(
     A: PositiveMatrix, start_side: StartSide = StartSide.COLUMN_FIRST

@@ -48,6 +48,10 @@ from .closed_form import (
     limit_2x2_symmetric,
 )
 from .engine import (
+    DEFAULT_MAX_STEPS_APPROX,
+    DEFAULT_MAX_STEPS_EXACT,
+    DEFAULT_SEARCH_BITS_CAP,
+    DEFAULT_SEARCH_CANDIDATE_CAP,
     IterationConfig,
     StartSide,
     Status,
@@ -289,6 +293,10 @@ def cmd_limit(args) -> int:
         raise CliError(
             "pass exactly one of: a 2x2 matrix, --bordered N K, or --triangular k"
         )
+    # each of these flags picks a family (--bordered with --triangular fails above)
+    given = [f"--{name}" for name in ("exact", "symmetric", "bordered", "triangular") if getattr(args, name)]
+    if len(given) > 1:
+        raise CliError(f"{given[0]} cannot be combined with {given[1]}: a limit call takes one family")
     if args.matrix:
         A = read_matrix(args.matrix, args.exact)
         if (A.rows, A.cols) != (2, 2):
@@ -409,7 +417,8 @@ def _add_start_side_flag(p: argparse.ArgumentParser) -> None:
 def _add_iteration_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--exact", action="store_true", help="exact rational regime")
     _add_start_side_flag(p)
-    p.add_argument("--max-steps", type=int, default=None, help="step budget (default 10000 approximate / 64 exact)")
+    budget = f"step budget (default {DEFAULT_MAX_STEPS_APPROX} approximate / {DEFAULT_MAX_STEPS_EXACT} exact)"
+    p.add_argument("--max-steps", type=int, default=None, help=budget)
     p.add_argument("--tol", type=float, default=None, help="margin tolerance (approximate regime)")
 
 
@@ -468,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="matrix size (n >= 2)")
     p.add_argument("--bound", type=int, required=True, help="largest integer entry")
     _add_start_side_flag(p)
-    p.add_argument("--max-steps", type=int, default=64)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS_EXACT)
     p.add_argument("--normalize-rows", action="store_true", help="divide each candidate's rows by their sums first")
-    p.add_argument("--bits-cap", type=int, default=4096, help="drop candidates whose entries exceed this bit size")
-    p.add_argument("--candidate-cap", type=int, default=10_000_000, help="refuse enumerations larger than this")
+    p.add_argument("--bits-cap", type=int, default=DEFAULT_SEARCH_BITS_CAP, help="drop candidates whose entries exceed this bit size")
+    p.add_argument("--candidate-cap", type=int, default=DEFAULT_SEARCH_CANDIDATE_CAP, help="refuse enumerations larger than this")
     _add_format_flag(p)
     p.set_defaults(func=cmd_search)
 

@@ -43,8 +43,6 @@ from .matrices import (
     Scalar,
     _resolve_targets,
     _resolve_tol,
-    apply_left,
-    apply_right,
 )
 
 DEFAULT_MAX_STEPS_APPROX = 10_000
@@ -55,6 +53,9 @@ DEFAULT_MAX_STEPS_EXACT = 64
 #: alone would never return. Candidates exceeding the cap are treated as
 #: non-terminating within budget.
 DEFAULT_SEARCH_BITS_CAP = 4096
+
+#: largest enumeration the search accepts, bound ** (n * n) candidates
+DEFAULT_SEARCH_CANDIDATE_CAP = 10_000_000
 
 
 class StartSide(enum.Enum):
@@ -246,29 +247,6 @@ def _validated(cur, left, right, step: int):
         raise type(exc)(f"iteration left float range by step {step}: {exc}") from None
 
 
-def scaling_invariance_check(
-    A: PositiveMatrix,
-    P: DiagonalScaling,
-    Q: DiagonalScaling,
-    cfg: IterationConfig | None = None,
-) -> float:
-    """Max-norm gap between the limits of A and of P @ A @ Q.
-
-    The two limits agree in theory for any positive diagonals P and Q;
-    two independent runs measure how closely the engine reproduces that.
-    Expected <= 2 * tolerance for converged approximate runs.
-    """
-    first = sinkhorn(A, cfg)
-    second = sinkhorn(apply_right(apply_left(P, A), Q), cfg)
-    return float(
-        max(
-            abs(x - y)
-            for xr, yr in zip(first.limit.entries, second.limit.entries)
-            for x, y in zip(xr, yr)
-        )
-    )
-
-
 # --- 2x2 fast path -----------------------------------------------------------
 
 def _require_exact_2x2(A: PositiveMatrix):
@@ -366,7 +344,7 @@ def finite_termination_search(
     max_steps: int = DEFAULT_MAX_STEPS_EXACT,
     normalize_rows: bool = False,
     entry_bits_cap: int | None = DEFAULT_SEARCH_BITS_CAP,
-    candidate_cap: int = 10_000_000,
+    candidate_cap: int = DEFAULT_SEARCH_CANDIDATE_CAP,
 ) -> list[SearchHit]:
     """Catalog the n x n integer matrices (entries 1..bound) whose exact
     scaling iteration terminates within max_steps.

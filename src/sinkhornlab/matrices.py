@@ -1,5 +1,5 @@
 """Positive matrices, diagonal scalings, margin targets, and the
-stochasticity predicates built on them.
+doubly stochastic predicate built on them.
 
 Two numeric regimes share one representation: exact (Fraction entries,
 ints are promoted) and approximate (float entries). A matrix is pinned to
@@ -10,7 +10,6 @@ across threads.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import chain
 from math import inf
@@ -149,9 +148,6 @@ class PositiveMatrix:
             rows = [list(row) for row in self.entries]
         return {"rows": rows}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
     @classmethod
     def from_json_obj(cls, obj) -> "PositiveMatrix":
         if not isinstance(obj, dict) or "rows" not in obj:
@@ -174,10 +170,6 @@ class PositiveMatrix:
                     raise ValueError(f"matrix entry is not a number: {x!r}")
             parsed.append(out)
         return cls(parsed)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PositiveMatrix":
-        return cls.from_json_obj(json.loads(text))
 
 
 class DiagonalScaling:
@@ -229,11 +221,6 @@ class MarginTarget:
         self.row_targets = rt
         self.col_targets = ct
         self.exact = r_exact
-
-    @classmethod
-    def unit(cls, m: int, n: int, exact: bool) -> "MarginTarget":
-        one = Fraction(1) if exact else 1.0
-        return cls((one,) * m, (one,) * n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MarginTarget):
@@ -323,7 +310,7 @@ def apply_right(A: PositiveMatrix, D: DiagonalScaling) -> PositiveMatrix:
     )
 
 
-# --- stochasticity predicates ----------------------------------------------
+# --- doubly stochastic predicate --------------------------------------------
 
 def _resolve_tol(A: PositiveMatrix, tol: float | None) -> Scalar:
     if tol is None:
@@ -340,34 +327,20 @@ def _margins_within(sums, targets, tol) -> bool:
     return all(abs(s - t) <= tol for s, t in zip(sums, targets))
 
 
-def is_row_stochastic(
-    A: PositiveMatrix, target: MarginTarget | None = None, tol: float | None = None
-) -> bool:
-    """True iff every row sum matches its target within tol.
-
-    tol defaults to 0 in the exact regime and DEFAULT_TOLERANCE in the
-    approximate one.
-    """
-    return _margins_within(row_sums(A), _resolve_targets(A, target)[0], _resolve_tol(A, tol))
-
-
-def is_col_stochastic(
-    A: PositiveMatrix, target: MarginTarget | None = None, tol: float | None = None
-) -> bool:
-    """True iff every column sum matches its target within tol."""
-    return _margins_within(col_sums(A), _resolve_targets(A, target)[1], _resolve_tol(A, tol))
-
-
 def is_doubly_stochastic(
     A: PositiveMatrix, target: MarginTarget | None = None, tol: float | None = None
 ) -> bool:
-    """True iff A is both row and column stochastic (against target).
+    """True iff every row and column sum of A matches its target within tol.
 
-    With unit targets this requires a square matrix: an m x n matrix with
-    m != n cannot have all margins equal to 1.
+    Targets default to 1; tol defaults to 0 in the exact regime and
+    DEFAULT_TOLERANCE in the approximate one. With unit targets this
+    requires a square matrix: an m x n matrix with m != n cannot have all
+    margins equal to 1.
     """
     if target is None and A.rows != A.cols:
         raise DimensionError(
             f"doubly stochastic check with unit targets needs a square matrix, got {A.rows}x{A.cols}"
         )
-    return is_row_stochastic(A, target, tol) and is_col_stochastic(A, target, tol)
+    r_t, c_t = _resolve_targets(A, target)
+    tol = _resolve_tol(A, tol)
+    return _margins_within(row_sums(A), r_t, tol) and _margins_within(col_sums(A), c_t, tol)

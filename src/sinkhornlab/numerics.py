@@ -1,5 +1,5 @@
-"""Exact rational helpers: perfect-square tests, rational square roots,
-triangular numbers, and the p/q text form used across the package.
+"""Exact rational helpers: rational square roots and the p/q text form
+used across the package.
 
 Exact scalars are stdlib :class:`fractions.Fraction` values, which are
 arbitrary precision, always reduced, and carry a positive denominator.
@@ -11,27 +11,17 @@ from fractions import Fraction
 from math import isqrt
 
 
-def is_perfect_square(n: int) -> bool:
-    """True iff n is the square of an integer (exact, no floating point)."""
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
-
-
 def is_rational_square(q: Fraction) -> bool:
-    """True iff the positive rational q is the square of a rational.
+    """True iff the positive rational q is the square of a rational."""
+    return rational_sqrt(q) is not None
+
+
+def rational_sqrt(q: Fraction) -> Fraction | None:
+    """The positive rational square root of q, or None if q has none.
 
     A reduced fraction is a rational square exactly when its numerator and
     denominator are both perfect squares of integers.
     """
-    if q <= 0:
-        raise ValueError(f"expected a positive rational, got {q}")
-    return is_perfect_square(q.numerator) and is_perfect_square(q.denominator)
-
-
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """The positive rational square root of q, or None if q has none."""
     if q <= 0:
         raise ValueError(f"expected a positive rational, got {q}")
     rn = isqrt(q.numerator)
@@ -40,16 +30,6 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
         # gcd(rn, rd) = 1 already: its square divides gcd(numerator, denominator) = 1
         return Fraction(rn, rd)
     return None
-
-
-def is_triangular_number(K: int) -> int | None:
-    """Return k when K = k(k+1)/2 for a positive integer k, else None."""
-    if K < 1:
-        raise ValueError(f"expected a positive integer, got {K}")
-    s = isqrt(8 * K + 1)
-    if s * s != 8 * K + 1:
-        return None
-    return (s - 1) // 2
 
 
 def parse_rational(text: str) -> Fraction:

@@ -34,12 +34,13 @@ from sinkhornlab import (
     limit_2x2_exact,
     limit_2x2_symmetric,
     row_scaling,
-    scaling_invariance_check,
     sinkhorn,
     termination_length_2x2,
     transpose,
 )
 from sinkhornlab.cli import main as cli_main
+
+from .reference import scaling_invariance_check
 
 F = Fraction
 

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from sinkhornlab import PositiveMatrix, cli
+from sinkhornlab import PositiveMatrix, cli, engine
 from sinkhornlab.cli import build_parser, main
 
 F = Fraction
@@ -168,6 +169,12 @@ class TestLimit:
         code, out, _ = run(capsys, "limit", "--exact", "1,3;3,4")
         assert code == 0
         assert out == "alpha = 2/5 (exact)\nbeta  = 3/5 (exact)\nlimit:\n  2/5  3/5\n  3/5  2/5\n"
+        code, out, _ = run(capsys, "limit", "--exact", "1,3;3,4", "--format", "json")
+        assert code == 0
+        assert out == (
+            '{\n  "command": "limit",\n  "family": "exact-2x2",\n  "rational": true,\n'
+            '  "ratio": "4/9",\n  "alpha": "2/5",\n  "beta": "3/5"\n}\n'
+        )
 
     def test_symmetric(self, capsys):
         code, out, _ = run(capsys, "limit", "--symmetric", "1,2;2,4")
@@ -196,6 +203,22 @@ class TestLimit:
     def test_missing_input_exits_one(self, capsys):
         code, _, _ = run(capsys, "limit")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "first,second,rest",
+        [
+            ("--exact", "--symmetric", ["1,2;2,4"]),
+            ("--exact", "--bordered", ["3", "2"]),
+            ("--exact", "--triangular", ["3"]),
+            ("--symmetric", "--bordered", ["3", "2"]),
+            ("--symmetric", "--triangular", ["3"]),
+        ],
+    )
+    def test_two_families_exit_one(self, capsys, first, second, rest):
+        # each pair once printed the second family's output and exited 0
+        code, out, err = run(capsys, "limit", first, second, *rest)
+        assert (code, out) == (1, "")
+        assert err == f"error: {first} cannot be combined with {second}: a limit call takes one family\n"
 
 
 class TestClassify:
@@ -318,6 +341,16 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--n", "2", "--bound", "3", *flag)
         assert (code, out) == (1, "")
         assert err.startswith("error: search needs ") and err.count("\n") == 1
+
+    def test_defaults_are_the_engine_constants(self):
+        args = build_parser().parse_args(["search", "--n", "2", "--bound", "2"])
+        assert args.max_steps == engine.DEFAULT_MAX_STEPS_EXACT
+        assert args.bits_cap == engine.DEFAULT_SEARCH_BITS_CAP
+        assert args.candidate_cap == engine.DEFAULT_SEARCH_CANDIDATE_CAP
+        defaults = inspect.signature(engine.finite_termination_search).parameters
+        assert defaults["max_steps"].default == engine.DEFAULT_MAX_STEPS_EXACT
+        assert defaults["entry_bits_cap"].default == engine.DEFAULT_SEARCH_BITS_CAP
+        assert defaults["candidate_cap"].default == engine.DEFAULT_SEARCH_CANDIDATE_CAP
 
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "search", "--n", "2", "--bound", "2", "--format", "json")

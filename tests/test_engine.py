@@ -1,6 +1,9 @@
+import importlib.util
 import itertools
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,13 +23,13 @@ from sinkhornlab import (
     finite_termination_search,
     is_doubly_stochastic,
     row_sums,
-    scaling_invariance_check,
     sinkhorn,
     termination_length_2x2,
     trace_csv,
 )
 from sinkhornlab.engine import _steps_until_doubly_stochastic
 
+from .reference import scaling_invariance_check
 from .strategies import approx_matrices, exact_matrices, exact_matrices_2x2
 
 F = Fraction
@@ -192,7 +195,7 @@ class TestRcScaling:
         A = M(*A_SLOW)
         cfg = IterationConfig(max_steps=5)
         plain = sinkhorn(A, cfg, capture_matrices=True)
-        rc_cfg = IterationConfig(max_steps=5, margin_target=MarginTarget.unit(2, 2, exact=True))
+        rc_cfg = IterationConfig(max_steps=5, margin_target=MarginTarget((1, 1), (1, 1)))
         rc = sinkhorn(A, rc_cfg, capture_matrices=True)
         assert rc.trace == plain.trace
         assert rc.limit == plain.limit
@@ -478,3 +481,19 @@ class TestTraceCsv:
         assert "e" in err
         mantissa = err.split("e")[0].replace("-", "").replace(".", "")
         assert len(mantissa) == 17
+
+
+def test_entry_growth_script(capsys, monkeypatch):
+    """scripts/entry_growth.py prints one row per step; for 1,3;3,4 the
+    error ratio settles at |alpha - beta| = 1/5, alpha = 2/5."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "entry_growth.py"
+    spec = importlib.util.spec_from_file_location("entry_growth", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), "--steps", "24", "1,3;3,4"])
+    script.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# matrix 1,3;3,4  (status: max-steps-reached)"
+    assert len(lines) == 2 + 25 + 1 and lines[-1] == ""
+    step, bits, err, ratio = lines[-2].split()
+    assert (step, ratio) == ("24", "0.200000")

@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 
 from sinkhornlab import (
     format_rational,
-    is_perfect_square,
     is_rational_square,
-    is_triangular_number,
     parse_rational,
     rational_sqrt,
 )
@@ -28,10 +26,9 @@ class TestRationalSquare:
         assert is_rational_square(Fraction(1))
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            is_rational_square(Fraction(0))
-        with pytest.raises(ValueError):
-            is_rational_square(Fraction(-4, 9))
+        for q in (Fraction(0), Fraction(-4, 9)):
+            with pytest.raises(ValueError, match=f"expected a positive rational, got {q}"):
+                is_rational_square(q)
 
 
 class TestRationalSqrt:
@@ -62,32 +59,6 @@ class TestRationalSqrt:
     def test_squares_round_trip(self, s):
         assert is_rational_square(s * s)
         assert rational_sqrt(s * s) == s
-
-
-class TestTriangularNumbers:
-    def test_three(self):
-        assert is_triangular_number(3) == 2
-
-    def test_one(self):
-        assert is_triangular_number(1) == 1
-
-    def test_four_absent(self):
-        # exhaustive oracle: no k in 1..3 has k(k+1)/2 = 4
-        assert all((k * k + k) // 2 != 4 for k in range(1, 4))
-        assert is_triangular_number(4) is None
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            is_triangular_number(0)
-
-    @given(st.integers(min_value=1, max_value=10_000))
-    def test_round_trip(self, k):
-        assert is_triangular_number((k * k + k) // 2) == k
-
-    def test_exhaustive_small_range(self):
-        triangulars = {(k * k + k) // 2: k for k in range(1, 40)}
-        for K in range(1, 500):
-            assert is_triangular_number(K) == triangulars.get(K)
 
 
 class TestSerialization:
@@ -129,9 +100,13 @@ class TestSerialization:
 
 
 def test_perfect_square_edge_cases():
-    assert is_perfect_square(0)
-    assert is_perfect_square(1)
-    assert not is_perfect_square(-4)
-    big = (10**30 + 7) ** 2
-    assert is_perfect_square(big)
-    assert not is_perfect_square(big + 1)
+    # rational_sqrt holds the package's only perfect-square test
+    assert rational_sqrt(Fraction(1)) == 1
+    for q in (Fraction(0), Fraction(-4)):
+        with pytest.raises(ValueError, match="expected a positive rational"):
+            rational_sqrt(q)
+    root = 10**30 + 7
+    assert rational_sqrt(Fraction(root * root)) == root
+    assert rational_sqrt(Fraction(1, root * root)) == Fraction(1, root)
+    assert rational_sqrt(Fraction(root * root + 1)) is None
+    assert rational_sqrt(Fraction(root * root, root * root + 1)) is None

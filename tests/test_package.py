@@ -1,3 +1,5 @@
+import re
+from pathlib import Path
 from types import ModuleType
 
 import sinkhornlab
@@ -11,3 +13,15 @@ def test_all_names_every_public_object_and_no_submodule():
     }
     assert len(sinkhornlab.__all__) == len(set(sinkhornlab.__all__))
     assert set(sinkhornlab.__all__) == public
+
+
+def test_readme_library_example_runs():
+    """The fenced Python block under README's Library heading runs against
+    what the package exports."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    assert len(blocks) == 1
+    imported = re.search(r"from sinkhornlab import \((.*?)\)", blocks[0], re.DOTALL)[1]
+    assert {name.strip() for name in imported.split(",") if name.strip()} <= set(sinkhornlab.__all__)
+    exec(compile(blocks[0], "README.md", "exec"), {})
