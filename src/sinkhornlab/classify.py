@@ -16,8 +16,10 @@ algebraic in the entries (a b; c d):
 
 Which one-step condition applies, and which rank-one parametrization is
 extracted, depends on whether the iteration starts with column or row
-scaling. Every verdict is cross-checked against the exact engine before
-it is returned.
+scaling. The identities are tested exactly in integers, cross-multiplied
+over the entries' numerators and denominators, so no Fraction arithmetic
+is spent on an infinite verdict. Every verdict is cross-checked against
+the exact engine before it is returned.
 """
 
 from __future__ import annotations
@@ -30,10 +32,13 @@ from .engine import StartSide, termination_length_2x2, _require_exact_2x2
 from .matrices import PositiveMatrix
 
 _HALF = Fraction(1, 2)
+_FLAT_LIMIT = PositiveMatrix(((_HALF, _HALF), (_HALF, _HALF)))
 
 
-def _flat_limit() -> PositiveMatrix:
-    return PositiveMatrix(((_HALF, _HALF), (_HALF, _HALF)))
+def _swapped_limit(x: int, y: int) -> PositiveMatrix:
+    """The one-step limit (p q; q p) with p = x/(x+y) and q = y/(x+y)."""
+    p, q = Fraction(x, x + y), Fraction(y, x + y)
+    return PositiveMatrix(((p, q), (q, p)))
 
 
 class Termination(enum.Enum):
@@ -82,45 +87,52 @@ def classify_2x2(
 ) -> TerminationClass:
     """Decide, exactly, how many scaling steps A needs: 0, 1, 2, or infinity.
 
-    Overlapping conditions resolve toward the shorter length (a matrix
-    with equal rows is both rank one and a one-step form; it terminates
-    in one step). The verdict is validated against the exact engine run
-    to 3 steps before being returned.
+    The conditions are tested in integers on the reduced numerators and
+    denominators, cross-multiplied: with a = na/da and so on, ab = cd
+    iff na*nb*dc*dd == nc*nd*da*db, and ac = bd and ad = bc likewise.
+    Fractions are built only for the params and limit of a finite
+    verdict. Overlapping conditions resolve toward the shorter length (a
+    matrix with equal rows is both rank one and a one-step form; it
+    terminates in one step). The verdict is validated against the exact
+    engine run to 3 steps before being returned.
     """
     a, b, c, d = _require_exact_2x2(A)
-    one = Fraction(1)
-    if a + b == one and c + d == one and a + c == one:
+    na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
+    nc, dc, nd, dd = c.numerator, c.denominator, d.numerator, d.denominator
+    if a == d and b == c and na * db + nb * da == da * db:
         verdict = TerminationClass(
             Termination.ALREADY_DOUBLY_STOCHASTIC, start_side, {}, A
         )
-    elif start_side is StartSide.COLUMN_FIRST and a * b == c * d:
-        s = a + c
-        limit = PositiveMatrix(((a / s, c / s), (c / s, a / s)))
+    elif start_side is StartSide.COLUMN_FIRST and na * nb * dc * dd == nc * nd * da * db:
         verdict = TerminationClass(
-            Termination.ONE_STEP_COLUMN, start_side, {"a": a, "c": c, "t": b / c}, limit
+            Termination.ONE_STEP_COLUMN,
+            start_side,
+            {"a": a, "c": c, "t": Fraction(nb * dc, db * nc)},
+            _swapped_limit(na * dc, nc * da),
         )
-    elif start_side is StartSide.ROW_FIRST and a * c == b * d:
-        s = a + b
-        limit = PositiveMatrix(((a / s, b / s), (b / s, a / s)))
+    elif start_side is StartSide.ROW_FIRST and na * nc * db * dd == nb * nd * da * dc:
         verdict = TerminationClass(
-            Termination.ONE_STEP_ROW, start_side, {"a": a, "b": b, "t": c / b}, limit
+            Termination.ONE_STEP_ROW,
+            start_side,
+            {"a": a, "b": b, "t": Fraction(nc * db, dc * nb)},
+            _swapped_limit(na * db, nb * da),
         )
-    elif a * d == b * c:
+    elif na * nd * db * dc == nb * nc * da * dd:
         if start_side is StartSide.COLUMN_FIRST:
             # proportional rows (p q; pt qt): the column step equalizes the
             # columns, the row step flattens them
             verdict = TerminationClass(
                 Termination.TWO_STEP_ROW_LAST,
                 start_side,
-                {"p": a, "q": b, "t": c / a},
-                _flat_limit(),
+                {"p": a, "q": b, "t": Fraction(nc * da, dc * na)},
+                _FLAT_LIMIT,
             )
         else:
             verdict = TerminationClass(
                 Termination.TWO_STEP_COLUMN_LAST,
                 start_side,
-                {"p": a, "r": c, "t": b / a},
-                _flat_limit(),
+                {"p": a, "r": c, "t": Fraction(nb * da, db * na)},
+                _FLAT_LIMIT,
             )
     else:
         verdict = TerminationClass(Termination.INFINITE, start_side, {}, None)

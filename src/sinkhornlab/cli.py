@@ -288,13 +288,16 @@ def cmd_classify(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    chosen = sum(bool(x) for x in (args.bordered, args.triangular, args.matrix))
-    if chosen != 1:
+    # by `is not None`: --triangular 0 is given, and gets the k >= 2 error
+    bordered, triangular = args.bordered is not None, args.triangular is not None
+    if bordered + triangular + bool(args.matrix) != 1:
         raise CliError(
             "pass exactly one of: a 2x2 matrix, --bordered N K, or --triangular k"
         )
     # each of these flags picks a family (--bordered with --triangular fails above)
-    given = [f"--{name}" for name in ("exact", "symmetric", "bordered", "triangular") if getattr(args, name)]
+    flags = {"exact": args.exact, "symmetric": args.symmetric,
+             "bordered": bordered, "triangular": triangular}
+    given = [f"--{name}" for name, on in flags.items() if on]
     if len(given) > 1:
         raise CliError(f"{given[0]} cannot be combined with {given[1]}: a limit call takes one family")
     if args.matrix:
@@ -306,7 +309,7 @@ def cmd_limit(args) -> int:
             )
         (a, b), (c, d) = A.entries
 
-    if args.bordered:
+    if bordered:
         n = int(args.bordered[0])
         K = _parse_scalar(args.bordered[1], exact=False)
         obj = {"family": "bordered", **dataclasses.asdict(bordered_limit(n, K))}
@@ -315,7 +318,7 @@ def cmd_limit(args) -> int:
             *_value_lines(obj, "alpha", "beta", "gamma"),
             f"scaler: diag(x1, x2, ..., x2) with x1 = {obj['x1']!r}, x2 = {obj['x2']!r}",
         ]
-    elif args.triangular:
+    elif triangular:
         lim = bordered_limit_triangular(args.triangular)
         obj = {"family": "triangular", "k": args.triangular}
         obj.update((name, str(getattr(lim, name))) for name in ("K", "alpha", "beta", "gamma"))

@@ -57,6 +57,8 @@ DEFAULT_SEARCH_BITS_CAP = 4096
 #: largest enumeration the search accepts, bound ** (n * n) candidates
 DEFAULT_SEARCH_CANDIDATE_CAP = 10_000_000
 
+_EXACT_ZERO = Fraction(0)
+
 
 class StartSide(enum.Enum):
     COLUMN_FIRST = "column"
@@ -140,6 +142,11 @@ def sinkhorn(
 
     entry_bits_cap, when set, aborts an exact run whose entries exceed
     that bit size, reporting MAX_STEPS_REACHED; see the search command.
+
+    An exact step meets its own side's targets exactly, so the margin
+    test after it computes only the other side's sums and records the
+    side just scaled with error exactly 0. Step 0, and every float step,
+    computes both sides.
     """
     cfg = cfg or IterationConfig()
     if cfg.margin_target is None and A.rows != A.cols:
@@ -165,12 +172,20 @@ def sinkhorn(
     records: list[TraceRecord] = []
     status = Status.MAX_STEPS_REACHED
     steps_taken = 0
+    # the side the last exact step scaled meets its targets exactly
+    rows_met = cols_met = False
 
     for step in itertools.count():
-        rsums = [sum(row) for row in cur]
-        csums = [sum(col) for col in zip(*cur)]
-        row_err = max(map(abs, map(sub, rsums, r_t)))
-        col_err = max(map(abs, map(sub, csums, c_t)))
+        if rows_met:
+            row_err = _EXACT_ZERO
+        else:
+            rsums = [sum(row) for row in cur]
+            row_err = max(map(abs, map(sub, rsums, r_t)))
+        if cols_met:
+            col_err = _EXACT_ZERO
+        else:
+            csums = [sum(col) for col in zip(*cur)]
+            col_err = max(map(abs, map(sub, csums, c_t)))
         bits = _max_entry_bits(cur) if exact else None
         records.append(
             TraceRecord(
@@ -220,6 +235,9 @@ def sinkhorn(
                 f"iteration left float range by step {step}: "
                 f"{name} {sums.index(0) + 1} sums to 0.0"
             ) from None
+        if exact:
+            cols_met = side == "col"
+            rows_met = not cols_met
 
     limit, left_accum, right_accum = _validated(cur, left, right, steps_taken)
     return SinkhornResult(

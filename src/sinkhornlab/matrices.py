@@ -47,16 +47,19 @@ def _coerce(values, what: str) -> tuple[tuple[Scalar, ...], bool]:
 
     The regime and the type checks are decided once per distinct entry
     type, not per entry; only a bad input is scanned again, to name its
-    first offending entry. Plain floats are kept as they are; every other
-    entry is converted to the regime's type.
+    first offending entry. Plain floats and plain Fractions are kept as
+    they are, when every entry has that one type; every other entry is
+    converted to the regime's type.
     """
     out = tuple(values)
     types = set(map(type, out))
+    if types == {float}:
+        return out, False
+    if types == {Fraction}:
+        return out, True
     exact = not any(issubclass(t, float) for t in types)
     if not exact and any(issubclass(t, Fraction) for t in types):
         raise RegimeError(f"{what} mixes float and Fraction entries")
-    if types == {float}:
-        return out, False
     conv = Fraction if exact else float
     bad = {t for t in types if t is bool or not issubclass(t, (int, float, Fraction))}
     if bad:

@@ -25,6 +25,7 @@ from sinkhornlab import (
     termination_length_2x2,
 )
 
+from .reference import classify_2x2_reference
 from .strategies import exact_matrices_2x2, positive_fractions
 
 F = Fraction
@@ -43,6 +44,32 @@ one_step_column_forms = st.tuples(
 rank_one_forms = st.tuples(
     positive_fractions, positive_fractions, positive_fractions
 ).map(lambda pqt: M((pqt[0], pqt[1]), (pqt[0] * pqt[2], pqt[1] * pqt[2])))
+
+wide_fractions = st.builds(F, st.integers(1, 2**64), st.integers(1, 2**64))
+
+
+@st.composite
+def wide_classifier_inputs(draw):
+    """A 2x2 matrix with numerators and denominators up to 2**64: generic,
+    or one of the parametrized forms the benchmark sweep draws."""
+    form = draw(st.sampled_from(
+        ("generic", "already", "one-step-column", "one-step-row", "rank-one-rows", "rank-one-cols")
+    ))
+    if form == "generic":
+        a, b, c, d = (draw(wide_fractions) for _ in range(4))
+    elif form == "already":
+        p, q = draw(st.integers(1, 2**64)), draw(st.integers(1, 2**64))
+        a = d = F(p, p + q)
+        b = c = 1 - a
+    else:
+        x, y, t = (draw(wide_fractions) for _ in range(3))
+        a, b, c, d = {
+            "one-step-column": (x, y * t, y, x * t),
+            "one-step-row": (x, y, y * t, x * t),
+            "rank-one-rows": (x, y, x * t, y * t),
+            "rank-one-cols": (x, x * t, y, y * t),
+        }[form]
+    return M((a, b), (c, d))
 
 
 class TestVerdicts:
@@ -128,6 +155,13 @@ class TestSoundness:
             v = classify_2x2(A, side)
             if v.length == 2:
                 assert v.limit == FLAT
+
+    @given(wide_classifier_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_tests_match_the_fraction_reference(self, A):
+        for side in StartSide:
+            v = classify_2x2(A, side)
+            assert (v.variant, v.params, v.limit) == classify_2x2_reference(A, side)
 
     def test_small_exhaustive_agreement(self):
         values = [

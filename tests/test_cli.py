@@ -212,6 +212,8 @@ class TestLimit:
             ("--exact", "--triangular", ["3"]),
             ("--symmetric", "--bordered", ["3", "2"]),
             ("--symmetric", "--triangular", ["3"]),
+            ("--exact", "--triangular", ["0"]),
+            ("--symmetric", "--triangular", ["0"]),
         ],
     )
     def test_two_families_exit_one(self, capsys, first, second, rest):
@@ -219,6 +221,13 @@ class TestLimit:
         code, out, err = run(capsys, "limit", first, second, *rest)
         assert (code, out) == (1, "")
         assert err == f"error: {first} cannot be combined with {second}: a limit call takes one family\n"
+
+    @pytest.mark.parametrize("k", ["0", "1", "-1"])
+    def test_triangular_below_two_exits_one(self, capsys, k):
+        # --triangular 0 was once counted as no family given
+        code, out, err = run(capsys, "limit", "--triangular", k)
+        assert (code, out) == (1, "")
+        assert err == f"error: triangular family needs k >= 2, got {k} (k = 1 gives the flat all-ones matrix)\n"
 
 
 class TestClassify:

@@ -29,7 +29,7 @@ from sinkhornlab import (
 )
 from sinkhornlab.engine import _steps_until_doubly_stochastic
 
-from .reference import scaling_invariance_check
+from .reference import exact_sinkhorn_reference, scaling_invariance_check
 from .strategies import approx_matrices, exact_matrices, exact_matrices_2x2
 
 F = Fraction
@@ -240,6 +240,70 @@ class TestRcScaling:
                 assert rec.max_row_err == 0
             elif rec.side == "col":
                 assert rec.max_col_err == 0
+
+
+def _matches_two_sided_reference(A, side, budget, target=None):
+    """Run sinkhorn and assert it agrees with the two-sided reference loop
+    on every trace record, the status, the step count, the limit and
+    both diagonals."""
+    res = sinkhorn(A, IterationConfig(start_side=side, max_steps=budget, margin_target=target))
+    records, terminated, steps, limit, left, right = exact_sinkhorn_reference(A, side, budget, target)
+    trace = [(r.step, r.side, r.max_row_err, r.max_col_err, r.max_entry_bits) for r in res.trace]
+    assert trace == records
+    assert all(type(r.max_row_err) is type(r.max_col_err) is Fraction for r in res.trace)
+    assert res.status is (Status.TERMINATED_FINITE if terminated else Status.MAX_STEPS_REACHED)
+    assert res.steps_taken == steps
+    assert res.limit == PositiveMatrix(limit)
+    assert res.left_accum == DiagonalScaling(left)
+    assert res.right_accum == DiagonalScaling(right)
+    return res
+
+
+class TestTwoSidedReference:
+    """The exact loop computes only the unscaled side's margins after a
+    step; the reference recomputes both every step."""
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize(
+        "rows,budget,target",
+        [
+            (A_SLOW, 8, None),
+            (((1, 12), (3, 4)), 8, None),
+            (((1, 3), (12, 4)), 8, None),
+            (((2, 6), (5, 15)), 8, None),
+            (((F(2, 5), F(3, 5)), (F(3, 5), F(2, 5))), 8, None),
+            (((1, 2, 3), (4, 5, 6), (7, 8, 10)), 5, None),
+            (((1, 2, 3), (4, 5, 6)), 6, MarginTarget((1, 2), (1, 1, 1))),
+            (((1, 1), (1, 1)), 4, MarginTarget((1, 3), (2, 2))),
+        ],
+    )
+    def test_fixed_inputs(self, rows, budget, target, side):
+        _matches_two_sided_reference(PositiveMatrix(rows), side, budget, target)
+
+    @pytest.mark.parametrize(
+        "rows,side,last",
+        [(((1, 12), (3, 4)), StartSide.COLUMN_FIRST, "col"), (((1, 3), (12, 4)), StartSide.ROW_FIRST, "row")],
+    )
+    def test_one_step_form_terminates_on_the_skipped_side(self, rows, side, last):
+        res = _matches_two_sided_reference(PositiveMatrix(rows), side, 8)
+        assert res.status is Status.TERMINATED_FINITE
+        assert (res.steps_taken, res.trace[-1].side) == (1, last)
+
+    @given(
+        exact_matrices(min_dim=2, max_dim=3, square=True),
+        st.sampled_from(list(StartSide)),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_square_inputs(self, A, side, budget):
+        _matches_two_sided_reference(A, side, budget)
+
+    @given(exact_matrices(min_dim=2, max_dim=3), st.sampled_from(list(StartSide)), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_margin_target_inputs(self, A, side, budget):
+        r = tuple(F(i + 1) for i in range(A.rows))
+        c = (sum(r) - A.cols + 1,) + (F(1),) * (A.cols - 1)
+        _matches_two_sided_reference(A, side, budget, MarginTarget(r, c))
 
 
 class TestInvariance:

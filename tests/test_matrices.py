@@ -153,6 +153,38 @@ class TestConstruction:
             _require_positive_reference, flat, False, describe
         )
 
+    def test_all_fraction_entries_are_kept_as_they_are(self):
+        entries = (F(1, 2), F(3), F(5, 7), F(2, 9))
+        A = M(entries[:2], entries[2:])
+        assert A.exact
+        assert all(x is y for x, y in zip(A.entries[0] + A.entries[1], entries))
+
+    def test_fraction_subclass_entries_become_fractions(self):
+        class _Fraction(Fraction):
+            pass
+
+        for rows in (((_Fraction(1, 2), F(1, 3)), (F(1), _Fraction(2))),
+                     ((_Fraction(1, 2), _Fraction(1, 3)), (_Fraction(1), _Fraction(2)))):
+            A = M(*rows)
+            assert A.exact
+            assert [type(x) for row in A.entries for x in row] == [Fraction] * 4
+            assert A == M((F(1, 2), F(1, 3)), (F(1), F(2)))
+
+    @pytest.mark.parametrize("bad", [F(0), F(-1, 2)])
+    def test_nonpositive_fraction_entry_is_named(self, bad):
+        with pytest.raises(NonPositiveEntryError, match=rf"^entry \(2,1\) is not positive: {bad}$"):
+            M((F(1), F(2)), (bad, F(4)))
+
+    def test_mixed_int_and_fraction_entries_become_fractions(self):
+        A = M((1, F(1, 2)), (F(3), 4))
+        assert A.exact
+        assert [type(x) for row in A.entries for x in row] == [Fraction] * 4
+
+    @pytest.mark.parametrize("rows", [((True, F(1, 2)), (F(1), F(2))), ((F(1, 2), F(1)), (F(2), False))])
+    def test_bool_entries_are_rejected(self, rows):
+        with pytest.raises(TypeError, match="is not a scalar"):
+            M(*rows)
+
     def test_rejects_negative_entry(self):
         with pytest.raises(NonPositiveEntryError):
             M((1, 2), (3, -4))
