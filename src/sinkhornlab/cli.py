@@ -16,7 +16,8 @@ and "p/q" strings the exact one. Under --exact, decimal entries are
 expanded exactly (0.25 -> 1/4), never round-tripped through a float.
 
 Exit codes: 0 success, 1 malformed input or inconsistent flags, 2
-iteration budget exhausted (scale/rc-scale).
+iteration budget exhausted (scale/rc-scale), 141 (128 + SIGPIPE) when
+the reader closes stdout early, with nothing on stderr.
 
 SINKHORNLAB_TOLERANCE overrides the default approximate tolerance.
 """
@@ -498,14 +499,31 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: exit code for a closed stdout, as a shell reports a process killed by SIGPIPE
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader left: not an input error
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:  # CliError and every input error are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        # the interpreter flushes stdout again at exit, and anything left
+        # in its buffer would fail on stderr; the Python docs' recipe is to
+        # point stdout at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+    raise SystemExit(code)

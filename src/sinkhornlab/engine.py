@@ -48,9 +48,10 @@ from .matrices import (
 DEFAULT_MAX_STEPS_APPROX = 10_000
 DEFAULT_MAX_STEPS_EXACT = 64
 
-#: entry-size guard for the n >= 3 exact search: a non-terminating 3x3
-#: iterate roughly doubles its bit size every step, so a 64-step budget
-#: alone would never return. Candidates exceeding the cap are treated as
+#: entry-size guard for the exact search. The search runs at most two
+#: steps (see finite_termination_search), which keep small integer
+#: candidates to a few bits, so the cap only bites for a caller's own
+#: small --bits-cap; candidates exceeding it are treated as
 #: non-terminating within budget.
 DEFAULT_SEARCH_BITS_CAP = 4096
 
@@ -369,10 +370,23 @@ def finite_termination_search(
 
     With normalize_rows each candidate's rows are first divided by their
     sums, making it row stochastic. Candidates whose entries outgrow
-    entry_bits_cap are dropped as non-terminating within budget (exact
-    iterates of non-terminating matrices with n >= 3 double their bit
-    size every step). Raises ValueError when the enumeration would
-    exceed candidate_cap matrices.
+    entry_bits_cap are dropped as non-terminating within budget. Raises
+    ValueError when the enumeration would exceed candidate_cap matrices.
+
+    Every run stops after at most two exact steps, because a terminating
+    unit-margin run has terminated by then. Proof: let a positive A
+    first reach a doubly stochastic iterate S at step L >= 3, and say
+    step L scales columns (a row step is the transpose). The iterate
+    before it is row stochastic and equals S diag(s), where s > 0 holds
+    its column sums; so S s = 1 = S 1, and k = s - 1 lies in ker S with
+    1 + k > 0. k != 0, since s = 1 would make that iterate S. Step L - 2 >= 1 scaled columns too,
+    so diag(rho) S diag(s) is column stochastic for some rho, that is
+    S^T rho = 1/s entrywise. Both 1 = S^T 1 and 1/s then lie in
+    range(S^T), which is orthogonal to ker S: sum(k_j) = 0 and
+    sum(k_j / (1 + k_j)) = 0. Their difference is
+    sum(k_j**2 / (1 + k_j)) = 0, which forces k = 0, a contradiction.
+    So L <= 2, and the same argument at L = 2 (k in ker S, k != 0)
+    shows that S is singular; each verdict asserts that.
 
     Row and column scalings commute with row and column permutations,
     and so does row normalization: P @ A @ Q takes the same steps, with
@@ -395,7 +409,8 @@ def finite_termination_search(
         raise ValueError(
             f"enumeration of {total} candidates exceeds the cap of {candidate_cap}"
         )
-    cfg = IterationConfig(start_side=start_side, max_steps=max_steps)
+    # no run first terminates after step 2 (the proof above)
+    cfg = IterationConfig(start_side=start_side, max_steps=min(max_steps, 2))
     col_orders = list(itertools.permutations(range(n)))
     verdicts: dict = {}
     hits: list[SearchHit] = []
@@ -427,7 +442,8 @@ def _candidate(rows, normalize_rows: bool) -> PositiveMatrix:
 def _verdict(A: PositiveMatrix, cfg: IterationConfig, entry_bits_cap):
     """(steps, limit entries) when the exact run of A terminates, else None."""
     # the 2x2 fast path only prefilters: most 2x2 candidates never
-    # terminate, and the engine would spend its whole budget on each
+    # terminate, and its cached integer test is cheaper than the two
+    # exact steps the engine would spend on each
     if A.rows == 2:
         length = termination_length_2x2(A, cfg.start_side, cfg.max_steps)
         if length is None:
@@ -436,7 +452,25 @@ def _verdict(A: PositiveMatrix, cfg: IterationConfig, entry_bits_cap):
     if result.status is not Status.TERMINATED_FINITE:
         return None
     assert A.rows > 2 or result.steps_taken == length  # fast path agrees
+    # a run that first terminates at step 2 ends on a singular limit
+    assert result.steps_taken < 2 or _determinant(result.limit.entries) == 0
     return result.steps_taken, result.limit.entries
+
+
+def _determinant(rows) -> Fraction:
+    """Exact determinant of a square Fraction matrix, by elimination."""
+    rows = [list(row) for row in rows]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        det *= rows[k][k] if pivot == k else -rows[k][k]
+        for row in rows[k + 1:]:
+            f = row[k] / rows[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], rows[k][k:])]
+    return det
 
 
 def _canonical_form(rows, col_orders):

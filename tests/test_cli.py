@@ -2,6 +2,9 @@ import contextlib
 import inspect
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -366,6 +369,29 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["candidates"] == 16
         assert all(h["length"] <= 2 for h in payload["hits"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # fails in a print inside the command: the output outgrows the buffer
+        ["search", "--n", "3", "--bound", "2", "--format", "json"],
+        # fails in the flush after main() returns
+        ["limit", "--triangular", "3"],
+    ],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sinkhornlab", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
 def assert_golden(case, code, out, err):

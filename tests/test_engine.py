@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -26,11 +27,18 @@ from sinkhornlab import (
     sinkhorn,
     termination_length_2x2,
     trace_csv,
+    transpose,
 )
-from sinkhornlab.engine import _steps_until_doubly_stochastic
+from sinkhornlab.engine import _determinant, _steps_until_doubly_stochastic
 
 from .reference import exact_sinkhorn_reference, scaling_invariance_check
-from .strategies import approx_matrices, exact_matrices, exact_matrices_2x2
+from .strategies import (
+    approx_matrices,
+    exact_matrices,
+    exact_matrices_2x2,
+    integer_matrices_with_dependent_rows,
+    two_step_matrices,
+)
 
 F = Fraction
 
@@ -449,6 +457,10 @@ class TestSearch:
             (2, 5, {"start_side": StartSide.ROW_FIRST}),
             (2, 3, {"normalize_rows": True}),
             (3, 2, {"max_steps": 4}),
+            # the default budget: the search stops every run by step 2,
+            # the reference runs each candidate to 64 steps or the bits cap
+            (3, 2, {}),
+            (3, 2, {"start_side": StartSide.ROW_FIRST, "normalize_rows": True}),
         ],
     )
     def test_orbit_search_matches_per_candidate_runs(self, n, bound, kwargs):
@@ -460,6 +472,13 @@ class TestSearch:
         hits = finite_termination_search(3, 2, start_side=side)
         assert len(hits) == 26
         assert all(is_doubly_stochastic(h.limit, tol=0) for h in hits)
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    def test_three_by_three_bound_three_catalog(self, side):
+        # the counts of a full 64-step search at the 4096-bit cap
+        hits = finite_termination_search(3, 3, start_side=side)
+        assert len(hits) == 270
+        assert Counter(h.length for h in hits) == {1: 156, 2: 114}
 
     def test_small_catalog_contents(self):
         hits = finite_termination_search(2, 4, start_side=StartSide.ROW_FIRST)
@@ -523,6 +542,46 @@ class TestSearch:
         res = sinkhorn(A, IterationConfig(max_steps=64), entry_bits_cap=2000)
         assert res.status is Status.MAX_STEPS_REACHED
         assert res.steps_taken < 64
+
+
+class TestTwoStepBound:
+    """A unit-margin exact run that terminates does so by step 2, at any
+    n (the proof is in finite_termination_search's docstring)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_backward_construction_terminates_at_step_two(self, n, data):
+        A, S = data.draw(two_step_matrices(n))
+        res = sinkhorn(A)
+        assert (res.status, res.steps_taken, res.limit) == (Status.TERMINATED_FINITE, 2, S)
+        # the transposed run, started on rows, is the same run transposed
+        res = sinkhorn(transpose(A), IterationConfig(start_side=StartSide.ROW_FIRST))
+        assert (res.status, res.steps_taken, res.limit) == (
+            Status.TERMINATED_FINITE, 2, transpose(S),
+        )
+
+    @pytest.mark.parametrize(
+        "rows,det",
+        [
+            (((1, 2), (3, 4)), -2),
+            (((0, 1, 2), (1, 0, 3), (4, -3, 8)), -2),  # needs a row swap
+            (((F(1, 2), F(1, 3)), (F(3, 4), F(1, 2))), 0),
+            (((2, 0, 0, 0), (0, 0, 3, 0), (0, 1, 0, 0), (0, 0, 0, 5)), -30),
+            (((2, 1, 1), (1, 2, 1), (3, 3, 2)), 0),
+            (((1, 1, 1), (2, 2, 2), (3, 1, 4)), 0),
+        ],
+    )
+    def test_determinant(self, rows, det):
+        assert _determinant([[F(x) for x in row] for row in rows]) == det
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), side=st.sampled_from(list(StartSide)))
+    def test_no_run_first_terminates_after_step_two(self, n, data, side):
+        A = data.draw(integer_matrices_with_dependent_rows(n))
+        res = sinkhorn(A, IterationConfig(start_side=side, max_steps=64), entry_bits_cap=4096)
+        assert res.status is not Status.TERMINATED_FINITE or res.steps_taken <= 2
 
 
 class TestTraceCsv:
