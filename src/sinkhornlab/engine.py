@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import sub
+from operator import itemgetter, sub
 from typing import Optional
 
 from .matrices import (
@@ -392,9 +392,15 @@ def finite_termination_search(
     and so does row normalization: P @ A @ Q takes the same steps, with
     the same entry bit sizes, as A, and its limit is P @ limit(A) @ Q.
     So the exact run happens once per orbit of row and column
-    permutations, on the orbit's canonical form, and every candidate of
-    the orbit gets that verdict with its limit permuted back. Hits come
-    in enumeration order.
+    permutations, on the orbit's least member in enumeration order,
+    which is also the least in the lexicographic order of its rows. Its
+    rows are sorted, or sorting them would give a smaller member, so the
+    walk visits only the matrices with sorted rows (each a multiset of
+    n rows) and skips one whenever some column order, followed by a row
+    sort, gives a smaller matrix. Every orbit keeps exactly one form.
+    A hit form's orbit is then expanded, each distinct member P @ F @ Q
+    with the limit P @ L @ Q, and candidates of the other orbits cost
+    nothing. Hits come in enumeration order.
     """
     if n < 2:
         raise ValueError(f"search needs n >= 2, got {n}")
@@ -411,25 +417,30 @@ def finite_termination_search(
         )
     # no run first terminates after step 2 (the proof above)
     cfg = IterationConfig(start_side=start_side, max_steps=min(max_steps, 2))
-    col_orders = list(itertools.permutations(range(n)))
-    verdicts: dict = {}
-    hits: list[SearchHit] = []
-    for combo in itertools.product(range(1, bound + 1), repeat=n * n):
-        rows = [combo[i * n:(i + 1) * n] for i in range(n)]
-        form, row_order, col_order = _canonical_form(rows, col_orders)
-        if form not in verdicts:
-            verdicts[form] = _verdict(_candidate(form, normalize_rows), cfg, entry_bits_cap)
-        found = verdicts[form]
-        if found is None:
+    # one getter per order permutes a row's entries, or a matrix's rows
+    orders = [itemgetter(*p) for p in itertools.permutations(range(n))]
+    found = []
+    row_values = itertools.product(range(1, bound + 1), repeat=n)
+    for form in itertools.combinations_with_replacement(row_values, n):
+        rows = list(form)
+        if any(sorted(map(q, rows)) < rows for q in orders[1:]):
+            continue  # another column order gives this orbit a smaller form
+        verdict = _verdict(_candidate(form, normalize_rows), cfg, entry_bits_cap)
+        if verdict is None:
             continue
-        steps, form_limit = found
-        # form[a][b] == rows[row_order[a]][col_order[b]], and so for the limits
-        limit = [[None] * n for _ in range(n)]
-        for a, i in enumerate(row_order):
-            for b, j in enumerate(col_order):
-                limit[i][j] = form_limit[a][b]
-        hits.append(SearchHit(_candidate(rows, normalize_rows), steps, PositiveMatrix(limit)))
-    return hits
+        steps, limit = verdict
+        orbit = {}
+        for q in orders:
+            q_rows, q_limit = list(map(q, form)), list(map(q, limit))
+            for p in orders:
+                orbit[p(q_rows)] = p(q_limit)
+        found += ((member, steps, member_limit) for member, member_limit in orbit.items())
+    # entry order is enumeration order, and no two hits share entries
+    found.sort(key=itemgetter(0))
+    return [
+        SearchHit(_candidate(member, normalize_rows), steps, PositiveMatrix(limit))
+        for member, steps, limit in found
+    ]
 
 
 def _candidate(rows, normalize_rows: bool) -> PositiveMatrix:
@@ -471,22 +482,6 @@ def _determinant(rows) -> Fraction:
             f = row[k] / rows[k][k]
             row[k:] = [x - f * y for x, y in zip(row[k:], rows[k][k:])]
     return det
-
-
-def _canonical_form(rows, col_orders):
-    """The least, over column orders q, of the rows permuted by q and then
-    sorted: one matrix per orbit of row and column permutations.
-
-    Returns it with the row order and column order that produce it from
-    rows, so that form[a][b] == rows[row_order[a]][col_order[b]].
-    """
-    best = None
-    for q in col_orders:
-        ranked = sorted((tuple(row[j] for j in q), i) for i, row in enumerate(rows))
-        form = tuple(row for row, _ in ranked)
-        if best is None or form < best[0]:
-            best = (form, tuple(i for _, i in ranked), q)
-    return best
 
 
 # --- trace serialization ------------------------------------------------------
