@@ -18,8 +18,6 @@ expanded exactly (0.25 -> 1/4), never round-tripped through a float.
 Exit codes: 0 success, 1 malformed input or inconsistent flags, 2
 iteration budget exhausted (scale/rc-scale), 141 (128 + SIGPIPE) when
 the reader closes stdout early, with nothing on stderr.
-
-SINKHORNLAB_TOLERANCE overrides the default approximate tolerance.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from .closed_form import (
 from .engine import (
     DEFAULT_MAX_STEPS_APPROX,
     DEFAULT_MAX_STEPS_EXACT,
-    DEFAULT_SEARCH_BITS_CAP,
     DEFAULT_SEARCH_CANDIDATE_CAP,
     IterationConfig,
     StartSide,
@@ -62,8 +59,6 @@ from .engine import (
 )
 from .matrices import MarginTarget, PositiveMatrix
 from .numerics import format_rational, parse_rational
-
-TOLERANCE_ENV_VAR = "SINKHORNLAB_TOLERANCE"
 
 _ROW_BRACKETS = re.compile(r"\]\s*[,;]?\s*\[")
 
@@ -161,19 +156,6 @@ def _emit(fmt: str, obj: dict, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
-def _resolve_tolerance(args, exact: bool) -> float | None:
-    if args.tol is not None:
-        return args.tol
-    if not exact and TOLERANCE_ENV_VAR in os.environ:
-        try:
-            return float(os.environ[TOLERANCE_ENV_VAR])
-        except ValueError as exc:
-            raise CliError(
-                f"{TOLERANCE_ENV_VAR} is not a number: {os.environ[TOLERANCE_ENV_VAR]!r}"
-            ) from exc
-    return None
-
-
 def _iteration_config(args, exact: bool) -> IterationConfig:
     target = None
     if getattr(args, "row_targets", None) is not None:
@@ -184,7 +166,7 @@ def _iteration_config(args, exact: bool) -> IterationConfig:
     return IterationConfig(
         start_side=StartSide(args.start_side),
         max_steps=args.max_steps,
-        tolerance=_resolve_tolerance(args, exact),
+        tolerance=args.tol,
         margin_target=target,
     )
 
@@ -382,9 +364,7 @@ def cmd_search(args) -> int:
         args.n,
         args.bound,
         start_side=StartSide(args.start_side),
-        max_steps=args.max_steps,
         normalize_rows=args.normalize_rows,
-        entry_bits_cap=args.bits_cap,
         candidate_cap=args.candidate_cap,
     )
     histogram = Counter(h.length for h in hits)
@@ -481,9 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="matrix size (n >= 2)")
     p.add_argument("--bound", type=int, required=True, help="largest integer entry")
     _add_start_side_flag(p)
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS_EXACT)
     p.add_argument("--normalize-rows", action="store_true", help="divide each candidate's rows by their sums first")
-    p.add_argument("--bits-cap", type=int, default=DEFAULT_SEARCH_BITS_CAP, help="drop candidates whose entries exceed this bit size")
     p.add_argument("--candidate-cap", type=int, default=DEFAULT_SEARCH_CANDIDATE_CAP, help="refuse enumerations larger than this")
     _add_format_flag(p)
     p.set_defaults(func=cmd_search)
@@ -495,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """main's parser, built on first use and then reused: building one
     costs about 30 times as much as a parse. Parsing leaves the parser as
-    it was, and main reads the environment on each call."""
+    it was."""
     return build_parser()
 
 

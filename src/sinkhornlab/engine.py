@@ -48,13 +48,6 @@ from .matrices import (
 DEFAULT_MAX_STEPS_APPROX = 10_000
 DEFAULT_MAX_STEPS_EXACT = 64
 
-#: entry-size guard for the exact search. The search runs at most two
-#: steps (see finite_termination_search), which keep small integer
-#: candidates to a few bits, so the cap only bites for a caller's own
-#: small --bits-cap; candidates exceeding it are treated as
-#: non-terminating within budget.
-DEFAULT_SEARCH_BITS_CAP = 4096
-
 #: largest enumeration the search accepts, bound ** (n * n) candidates
 DEFAULT_SEARCH_CANDIDATE_CAP = 10_000_000
 
@@ -142,7 +135,7 @@ def sinkhorn(
     entries, to rounding for floats).
 
     entry_bits_cap, when set, aborts an exact run whose entries exceed
-    that bit size, reporting MAX_STEPS_REACHED; see the search command.
+    that bit size, reporting MAX_STEPS_REACHED.
 
     An exact step meets its own side's targets exactly, so the margin
     test after it computes only the other side's sums and records the
@@ -360,18 +353,15 @@ def finite_termination_search(
     bound: int,
     *,
     start_side: StartSide = StartSide.COLUMN_FIRST,
-    max_steps: int = DEFAULT_MAX_STEPS_EXACT,
     normalize_rows: bool = False,
-    entry_bits_cap: int | None = DEFAULT_SEARCH_BITS_CAP,
     candidate_cap: int = DEFAULT_SEARCH_CANDIDATE_CAP,
 ) -> list[SearchHit]:
     """Catalog the n x n integer matrices (entries 1..bound) whose exact
-    scaling iteration terminates within max_steps.
+    scaling iteration terminates.
 
     With normalize_rows each candidate's rows are first divided by their
-    sums, making it row stochastic. Candidates whose entries outgrow
-    entry_bits_cap are dropped as non-terminating within budget. Raises
-    ValueError when the enumeration would exceed candidate_cap matrices.
+    sums, making it row stochastic. Raises ValueError when the
+    enumeration would exceed candidate_cap matrices.
 
     Every run stops after at most two exact steps, because a terminating
     unit-margin run has terminated by then. Proof: let a positive A
@@ -406,17 +396,13 @@ def finite_termination_search(
         raise ValueError(f"search needs n >= 2, got {n}")
     if bound < 1:
         raise ValueError(f"search needs bound >= 1, got {bound}")
-    if max_steps < 1:
-        raise ValueError(f"search needs max_steps >= 1, got {max_steps}")
-    if entry_bits_cap is not None and entry_bits_cap < 1:
-        raise ValueError(f"search needs entry_bits_cap >= 1, got {entry_bits_cap}")
     total = bound ** (n * n)
     if total > candidate_cap:
         raise ValueError(
             f"enumeration of {total} candidates exceeds the cap of {candidate_cap}"
         )
     # no run first terminates after step 2 (the proof above)
-    cfg = IterationConfig(start_side=start_side, max_steps=min(max_steps, 2))
+    cfg = IterationConfig(start_side=start_side, max_steps=2)
     # one getter per order permutes a row's entries, or a matrix's rows
     orders = [itemgetter(*p) for p in itertools.permutations(range(n))]
     found = []
@@ -425,7 +411,7 @@ def finite_termination_search(
         rows = list(form)
         if any(sorted(map(q, rows)) < rows for q in orders[1:]):
             continue  # another column order gives this orbit a smaller form
-        verdict = _verdict(_candidate(form, normalize_rows), cfg, entry_bits_cap)
+        verdict = _verdict(_candidate(form, normalize_rows), cfg)
         if verdict is None:
             continue
         steps, limit = verdict
@@ -450,7 +436,7 @@ def _candidate(rows, normalize_rows: bool) -> PositiveMatrix:
     return PositiveMatrix(rows)
 
 
-def _verdict(A: PositiveMatrix, cfg: IterationConfig, entry_bits_cap):
+def _verdict(A: PositiveMatrix, cfg: IterationConfig):
     """(steps, limit entries) when the exact run of A terminates, else None."""
     # the 2x2 fast path only prefilters: most 2x2 candidates never
     # terminate, and its cached integer test is cheaper than the two
@@ -459,7 +445,7 @@ def _verdict(A: PositiveMatrix, cfg: IterationConfig, entry_bits_cap):
         length = termination_length_2x2(A, cfg.start_side, cfg.max_steps)
         if length is None:
             return None
-    result = sinkhorn(A, cfg, entry_bits_cap=entry_bits_cap)
+    result = sinkhorn(A, cfg)
     if result.status is not Status.TERMINATED_FINITE:
         return None
     assert A.rows > 2 or result.steps_taken == length  # fast path agrees

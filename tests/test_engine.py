@@ -437,9 +437,9 @@ class TestSearch:
             (2, 5, {}),
             (2, 5, {"start_side": StartSide.ROW_FIRST}),
             (2, 3, {"normalize_rows": True}),
-            (3, 2, {"max_steps": 4}),
-            # the default budget: the search stops every run by step 2,
-            # the reference runs each candidate to 64 steps or the bits cap
+            # the search stops every run by step 2, the reference runs
+            # each candidate to 64 steps or the bits cap
+            (3, 2, {"normalize_rows": True}),
             (3, 2, {}),
             (3, 2, {"start_side": StartSide.ROW_FIRST, "normalize_rows": True}),
             (2, 6, {"normalize_rows": True}),
@@ -451,10 +451,11 @@ class TestSearch:
         assert [(h.matrix, h.length, h.limit) for h in hits] == _reference_search(n, bound, **kwargs)
 
     @pytest.mark.parametrize("side", list(StartSide))
-    def test_three_by_three_bound_two_at_the_default_bits_cap(self, side):
+    def test_one_step_hits_are_the_one_step_catalog(self, side):
+        # a one-step reference run finds exactly the search's L = 1 hits
         hits = finite_termination_search(3, 2, start_side=side)
-        assert len(hits) == 26
-        assert all(is_doubly_stochastic(h.limit, tol=0) for h in hits)
+        one_step = [(h.matrix, h.length, h.limit) for h in hits if h.length == 1]
+        assert one_step == _reference_search(3, 2, start_side=side, max_steps=1)
 
     @pytest.mark.parametrize("side", list(StartSide))
     def test_three_by_three_bound_three_catalog(self, side):
@@ -517,34 +518,31 @@ class TestSearch:
         assert hits[0].length == 1
         assert hits[0].limit == PositiveMatrix([[F(1, 3)] * 3] * 3)
 
-    def test_three_by_three_bound_two_catalog(self):
-        hits = finite_termination_search(3, 2, entry_bits_cap=512)
+    @pytest.mark.parametrize("side", list(StartSide))
+    def test_three_by_three_bound_two_at_the_default_bits_cap(self, side):
+        # the search has no bits cap: every run stops by step 2, so this is
+        # the default call. Proportional rows take two steps from a column
+        # step, and one from a row step; the transposed matrix the other way round
+        proportional_rows = M((2, 2, 2), (1, 1, 1), (2, 2, 2))
+        two_steps = {StartSide.COLUMN_FIRST: proportional_rows, StartSide.ROW_FIRST: transpose(proportional_rows)}
+        hits = finite_termination_search(3, 2, start_side=side)
         assert len(hits) == 26
         assert all(h.length <= 2 for h in hits)
         assert all(is_doubly_stochastic(h.limit, tol=0) for h in hits)
-        proportional_rows = M((2, 2, 2), (1, 1, 1), (2, 2, 2))
-        assert any(h.matrix == proportional_rows and h.length == 2 for h in hits)
+        assert any(h.matrix == two_steps[side] and h.length == 2 for h in hits)
+
+    def test_three_by_three_bound_two_catalog(self):
+        # a row step on A is a column step on its transpose: the row-first
+        # catalog is the column-first one transposed
+        by_column = finite_termination_search(3, 2, start_side=StartSide.COLUMN_FIRST)
+        by_row = finite_termination_search(3, 2, start_side=StartSide.ROW_FIRST)
+        assert {(transpose(h.matrix), h.length, transpose(h.limit)) for h in by_column} == {
+            (h.matrix, h.length, h.limit) for h in by_row
+        }
 
     def test_candidate_cap(self):
         with pytest.raises(ValueError):
             finite_termination_search(3, 10, candidate_cap=1000)
-
-    @pytest.mark.parametrize(
-        "kwargs,message",
-        [
-            ({"max_steps": 0}, "max_steps >= 1, got 0"),
-            ({"max_steps": -5}, "max_steps >= 1, got -5"),
-            ({"entry_bits_cap": 0}, "entry_bits_cap >= 1, got 0"),
-            ({"entry_bits_cap": -1}, "entry_bits_cap >= 1, got -1"),
-        ],
-    )
-    def test_empty_budgets_are_rejected(self, kwargs, message):
-        # an empty budget would drop every candidate: 0 hits where 21 are due
-        with pytest.raises(ValueError, match=message):
-            finite_termination_search(2, 3, **kwargs)
-
-    def test_bits_cap_can_be_switched_off(self):
-        assert len(finite_termination_search(2, 3, entry_bits_cap=None)) == 21
 
     def test_bits_cap_guards_nonterminating_exact_runs(self):
         A = M((1, 2, 3), (2, 1, 1), (1, 5, 2))
