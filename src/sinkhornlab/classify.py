@@ -28,17 +28,16 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .closed_form import _alpha_beta_matrix
 from .engine import StartSide, termination_length_2x2, _require_exact_2x2
 from .matrices import PositiveMatrix
 
-_HALF = Fraction(1, 2)
-_FLAT_LIMIT = PositiveMatrix(((_HALF, _HALF), (_HALF, _HALF)))
+_FLAT_LIMIT = _alpha_beta_matrix(Fraction(1, 2), Fraction(1, 2))
 
 
 def _swapped_limit(x: int, y: int) -> PositiveMatrix:
     """The one-step limit (p q; q p) with p = x/(x+y) and q = y/(x+y)."""
-    p, q = Fraction(x, x + y), Fraction(y, x + y)
-    return PositiveMatrix(((p, q), (q, p)))
+    return _alpha_beta_matrix(Fraction(x, x + y), Fraction(y, x + y))
 
 
 class Termination(enum.Enum):

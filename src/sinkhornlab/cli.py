@@ -55,7 +55,6 @@ from .engine import (
     Status,
     finite_termination_search,
     sinkhorn,
-    trace_csv,
 )
 from .matrices import MarginTarget, PositiveMatrix
 from .numerics import format_rational, parse_rational
@@ -352,10 +351,28 @@ def cmd_limit(args) -> int:
     return 0
 
 
+def trace_csv(trace) -> str:
+    """Render trace records as CSV, one row per step, step 0 first.
+
+    Columns: step, side, max_row_err, max_col_err, and (exact regime
+    only) max_entry_bits. Every run records step 0, and its
+    max_entry_bits is set exactly when the run is exact. Approximate
+    errors print in scientific notation with 17 significant digits;
+    exact errors print as reduced rationals.
+    """
+    if trace[0].max_entry_bits is not None:
+        header = "step,side,max_row_err,max_col_err,max_entry_bits"
+        row = "{0.step},{0.side},{0.max_row_err},{0.max_col_err},{0.max_entry_bits}"
+    else:
+        header = "step,side,max_row_err,max_col_err"
+        row = "{0.step},{0.side},{0.max_row_err:.16e},{0.max_col_err:.16e}"
+    return "\n".join([header, *map(row.format, trace)]) + "\n"
+
+
 def cmd_trace(args) -> int:
     A = read_matrix(args.matrix, args.exact)
     res = sinkhorn(A, _iteration_config(args, A.exact))
-    sys.stdout.write(trace_csv(res.trace, A.exact))
+    sys.stdout.write(trace_csv(res.trace))
     return 0
 
 

@@ -360,7 +360,10 @@ def finite_termination_search(
     scaling iteration terminates.
 
     With normalize_rows each candidate's rows are first divided by their
-    sums, making it row stochastic. Raises ValueError when the
+    sums, making it row stochastic. That is a row-first run's first
+    step, so the hits are the row-first search's, normalized, with each
+    L one less from the column side and L = 1 read as 0 from the row
+    side. Raises ValueError when the
     enumeration would exceed candidate_cap matrices.
 
     Every run stops after at most two exact steps, because a terminating
@@ -468,29 +471,3 @@ def _determinant(rows) -> Fraction:
             f = row[k] / rows[k][k]
             row[k:] = [x - f * y for x, y in zip(row[k:], rows[k][k:])]
     return det
-
-
-# --- trace serialization ------------------------------------------------------
-
-def trace_csv(trace, exact: bool) -> str:
-    """Render trace records as CSV, one row per step, step 0 first.
-
-    Columns: step, side, max_row_err, max_col_err, and (exact regime
-    only) max_entry_bits. Approximate errors print in scientific
-    notation with 17 significant digits; exact errors print as reduced
-    rationals.
-    """
-    header = "step,side,max_row_err,max_col_err"
-    if exact:
-        header += ",max_entry_bits"
-    lines = [header]
-    for rec in trace:
-        if exact:
-            lines.append(
-                f"{rec.step},{rec.side},{rec.max_row_err},{rec.max_col_err},{rec.max_entry_bits}"
-            )
-        else:
-            lines.append(
-                f"{rec.step},{rec.side},{rec.max_row_err:.16e},{rec.max_col_err:.16e}"
-            )
-    return "\n".join(lines) + "\n"

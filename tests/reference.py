@@ -1,6 +1,7 @@
 """Reference checks built on the package's public API, for the tests."""
 
 from fractions import Fraction
+from math import gcd
 
 from sinkhornlab import (
     DiagonalScaling,
@@ -105,3 +106,24 @@ def exact_sinkhorn_reference(
             cur = [[x * fi for x in row] for row, fi in zip(cur, f)]
             left = [x * fi for x, fi in zip(left, f)]
     return records, False, max_steps, cur, left, right
+
+
+def _reference_length(A, side, max_steps):
+    """termination_length_2x2 by the iterate's first row (p, q), reduced
+    by gcd every half-step: the oracle for the odds-coordinate fast path."""
+    a, b, c, d = A.entries[0] + A.entries[1]
+    if a + b == 1 and c + d == 1 and a + c == 1:
+        return 0
+    if side is StartSide.COLUMN_FIRST:
+        p, q = a / (a + c), b / (b + d)
+    else:
+        p, q = a / (a + b), c / (c + d)
+    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
+    for taken in range(1, max_steps + 1):
+        if pn * qd + qn * pd == pd * qd:
+            return taken
+        a, b = pn * qd, (pd - pn) * qd
+        npd, nqd = a + qn * pd, b + (qd - qn) * pd
+        g, h = gcd(a, npd), gcd(b, nqd)
+        pn, pd, qn, qd = a // g, npd // g, b // h, nqd // h
+    return None

@@ -4,7 +4,6 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 import pytest
@@ -27,12 +26,12 @@ from sinkhornlab import (
     row_sums,
     sinkhorn,
     termination_length_2x2,
-    trace_csv,
     transpose,
 )
+from sinkhornlab.cli import trace_csv
 from sinkhornlab.engine import _determinant, _steps_until_doubly_stochastic
 
-from .reference import exact_sinkhorn_reference, scaling_invariance_check
+from .reference import _reference_length, exact_sinkhorn_reference, scaling_invariance_check
 from .strategies import (
     approx_matrices,
     exact_matrices,
@@ -316,6 +315,23 @@ class TestInvariance:
         assert dev <= 2e-12
 
 
+_wide_rationals = st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def _wide_2x2_forms(draw):
+    """2x2 matrices of wide rationals, each finite form as often as a free one."""
+    a, b, c = draw(_wide_rationals), draw(_wide_rationals), draw(_wide_rationals)
+    form = draw(st.sampled_from(["free", "doubly-stochastic", "rank-one", "ab=cd", "ac=bd"]))
+    if form == "free":
+        return M((a, b), (c, draw(_wide_rationals)))
+    if form == "doubly-stochastic":
+        p = F(a.numerator, a.numerator + a.denominator)
+        return M((p, 1 - p), (1 - p, p))
+    d = {"rank-one": b * c / a, "ab=cd": a * b / c, "ac=bd": a * c / b}[form]
+    return M((a, b), (c, d))
+
+
 class TestTerminationLength2x2:
     def test_known_lengths(self):
         assert termination_length_2x2(M((F(2, 5), F(3, 5)), (F(3, 5), F(2, 5)))) == 0
@@ -354,6 +370,32 @@ class TestTerminationLength2x2:
         A = M(entries[:2], entries[2:])
         assert termination_length_2x2(A, side, max_steps=64) == _reference_length(A, side, 64)
 
+    @given(_wide_rationals, _wide_rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_odds_step_identity(self, x, kappa):
+        # one half-step maps the odds x to M(x); x**2 == kappa is the
+        # doubly stochastic test, so for kappa != 1 a step reaches it only
+        # from an iterate that had already reached it
+        step = (x + kappa) / (x + 1)
+        assert step * step - kappa == (1 - kappa) * (x * x - kappa) / (x + 1) ** 2
+
+    @given(_wide_2x2_forms(), st.sampled_from(list(StartSide)))
+    @settings(max_examples=100, deadline=None)
+    def test_every_budget_gives_the_closed_rule(self, A, side):
+        (a, b), (c, d) = A.entries
+        kappa = a * d / (b * c)
+        x = a / c if side is StartSide.COLUMN_FIRST else a / b  # odds after step 1
+        for budget in range(1, 65):
+            if a == d and b == c and a + b == 1:
+                rule = 0
+            elif x * x == kappa:
+                rule = 1
+            elif kappa == 1 and budget >= 2:
+                rule = 2
+            else:
+                rule = None
+            assert termination_length_2x2(A, side, budget) == rule
+
     def test_column_scaled_copy_is_a_cache_hit(self):
         A = M((F(7, 11), F(13, 5)), (F(3, 17), F(19, 2)))
         scaled = M((F(7, 11) * 23, F(13, 5) / 29), (F(3, 17) * 23, F(19, 2) / 29))
@@ -361,27 +403,6 @@ class TestTerminationLength2x2:
         hits = _steps_until_doubly_stochastic.cache_info().hits
         assert termination_length_2x2(scaled, max_steps=64) == length
         assert _steps_until_doubly_stochastic.cache_info().hits == hits + 1
-
-
-def _reference_length(A, side, max_steps):
-    """termination_length_2x2 by the iterate's first row (p, q), reduced
-    by gcd every half-step: the oracle for the odds-coordinate fast path."""
-    a, b, c, d = A.entries[0] + A.entries[1]
-    if a + b == 1 and c + d == 1 and a + c == 1:
-        return 0
-    if side is StartSide.COLUMN_FIRST:
-        p, q = a / (a + c), b / (b + d)
-    else:
-        p, q = a / (a + b), c / (c + d)
-    pn, pd, qn, qd = p.numerator, p.denominator, q.numerator, q.denominator
-    for taken in range(1, max_steps + 1):
-        if pn * qd + qn * pd == pd * qd:
-            return taken
-        a, b = pn * qd, (pd - pn) * qd
-        npd, nqd = a + qn * pd, b + (qd - qn) * pd
-        g, h = gcd(a, npd), gcd(b, nqd)
-        pn, pd, qn, qd = a // g, npd // g, b // h, nqd // h
-    return None
 
 
 def _permute(A, row_order, col_order):
@@ -428,6 +449,10 @@ def _reference_search(n, bound, start_side=StartSide.COLUMN_FIRST, max_steps=64,
         if res.status is Status.TERMINATED_FINITE:
             hits.append((A, res.steps_taken, res.limit))
     return hits
+
+
+def _row_normalized(A):
+    return PositiveMatrix([[x / sum(row) for x in row] for row in A.entries])
 
 
 class TestSearch:
@@ -512,6 +537,21 @@ class TestSearch:
         assert all(row_sums(h.matrix) == (1, 1) for h in hits)
         assert all(h.length <= 2 for h in hits)
 
+    @pytest.mark.parametrize("n,bound", [(2, 6), (3, 2), (3, 3)])
+    def test_normalized_rows_are_the_row_first_search_one_step_in(self, n, bound):
+        # dividing rows by their sums is the row-first run's first step
+        row_first = finite_termination_search(n, bound, start_side=StartSide.ROW_FIRST)
+        normalized = [_row_normalized(h.matrix) for h in row_first]
+        by_column = finite_termination_search(n, bound, normalize_rows=True)
+        assert [(h.matrix, h.length, h.limit) for h in by_column] == [
+            (A, h.length - 1, h.limit) for A, h in zip(normalized, row_first)
+        ]
+        # a row step on a row stochastic matrix changes nothing
+        by_row = finite_termination_search(n, bound, start_side=StartSide.ROW_FIRST, normalize_rows=True)
+        assert [(h.matrix, h.length, h.limit) for h in by_row] == [
+            (A, {1: 0, 2: 2}[h.length], h.limit) for A, h in zip(normalized, row_first)
+        ]
+
     def test_three_by_three_all_ones(self):
         hits = finite_termination_search(3, 1)
         assert len(hits) == 1
@@ -594,7 +634,7 @@ class TestTwoStepBound:
 class TestTraceCsv:
     def test_exact_csv_layout(self):
         res = sinkhorn(M(*A_SLOW), IterationConfig(max_steps=3))
-        text = trace_csv(res.trace, exact=True)
+        text = trace_csv(res.trace)
         lines = text.strip().split("\n")
         assert lines[0] == "step,side,max_row_err,max_col_err,max_entry_bits"
         assert len(lines) == 5
@@ -604,7 +644,7 @@ class TestTraceCsv:
 
     def test_approx_csv_layout(self):
         res = sinkhorn(M((1.0, 3.0), (3.0, 4.0)))
-        text = trace_csv(res.trace, exact=False)
+        text = trace_csv(res.trace)
         lines = text.strip().split("\n")
         assert lines[0] == "step,side,max_row_err,max_col_err"
         err = lines[1].split(",")[2]

@@ -1,4 +1,7 @@
+import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -13,6 +16,22 @@ def test_all_names_every_public_object_and_no_submodule():
     }
     assert len(sinkhornlab.__all__) == len(set(sinkhornlab.__all__))
     assert set(sinkhornlab.__all__) == public
+    # the CLI and its renderers load only when asked for
+    probe = "import sys, sinkhornlab; print('sinkhornlab.cli' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert loaded.stdout.strip() == "False"
+
+
+def test_runtime_imports_are_stdlib_only():
+    src = Path(sinkhornlab.__file__).resolve().parent
+    modules = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules.add(node.module.split(".")[0])
+    assert modules and modules <= sys.stdlib_module_names, modules - sys.stdlib_module_names
 
 
 def test_readme_library_example_runs():
