@@ -358,15 +358,19 @@ def trace_csv(trace) -> str:
     only) max_entry_bits. Every run records step 0, and its
     max_entry_bits is set exactly when the run is exact. Approximate
     errors print in scientific notation with 17 significant digits;
-    exact errors print as reduced rationals.
+    exact errors print as reduced rationals of any length.
     """
     if trace[0].max_entry_bits is not None:
         header = "step,side,max_row_err,max_col_err,max_entry_bits"
-        row = "{0.step},{0.side},{0.max_row_err},{0.max_col_err},{0.max_entry_bits}"
+        rows = (
+            f"{r.step},{r.side},{format_rational(r.max_row_err)},"
+            f"{format_rational(r.max_col_err)},{r.max_entry_bits}"
+            for r in trace
+        )
     else:
         header = "step,side,max_row_err,max_col_err"
-        row = "{0.step},{0.side},{0.max_row_err:.16e},{0.max_col_err:.16e}"
-    return "\n".join([header, *map(row.format, trace)]) + "\n"
+        rows = map("{0.step},{0.side},{0.max_row_err:.16e},{0.max_col_err:.16e}".format, trace)
+    return "\n".join([header, *rows]) + "\n"
 
 
 def cmd_trace(args) -> int:

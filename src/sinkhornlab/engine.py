@@ -28,8 +28,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from operator import itemgetter, sub
+from math import gcd, prod
+from operator import itemgetter, mul, sub
 from typing import Optional
 
 from .matrices import (
@@ -366,25 +366,31 @@ def finite_termination_search(
     side. Raises ValueError when the
     enumeration would exceed candidate_cap matrices.
 
-    Every run stops after at most two exact steps, because a terminating
-    unit-margin run has terminated by then. Proof: let a positive A
-    first reach a doubly stochastic iterate S at step L >= 3, and say
-    step L scales columns (a row step is the transpose). The iterate
-    before it is row stochastic and equals S diag(s), where s > 0 holds
-    its column sums; so S s = 1 = S 1, and k = s - 1 lies in ker S with
-    1 + k > 0. k != 0, since s = 1 would make that iterate S. Step L - 2 >= 1 scaled columns too,
+    A terminating unit-margin run has terminated by step 2. Proof: let a
+    positive A first reach a doubly stochastic iterate S at step L >= 3,
+    and say step L scales columns (a row step is the transpose). The
+    iterate before it is row stochastic and equals S diag(s), where
+    s > 0 holds its column sums; so S s = 1 = S 1, and k = s - 1 lies in
+    ker S with 1 + k > 0. k != 0, since s = 1 would make that iterate S.
+    Step L - 2 >= 1 scaled columns too,
     so diag(rho) S diag(s) is column stochastic for some rho, that is
     S^T rho = 1/s entrywise. Both 1 = S^T 1 and 1/s then lie in
     range(S^T), which is orthogonal to ker S: sum(k_j) = 0 and
     sum(k_j / (1 + k_j)) = 0. Their difference is
     sum(k_j**2 / (1 + k_j)) = 0, which forces k = 0, a contradiction.
     So L <= 2, and the same argument at L = 2 (k in ker S, k != 0)
-    shows that S is singular; each verdict asserts that.
+    shows that S is singular.
+
+    So whether a form terminates, and at which step, is an integer
+    identity on its entries: _two_step_length decides every form before
+    any Fraction is built. Only a hit form gets an exact two-step
+    sinkhorn run, which gives its limit, must terminate at the step the
+    integer test named, and at L = 2 must end on a singular limit.
 
     Row and column scalings commute with row and column permutations,
     and so does row normalization: P @ A @ Q takes the same steps, with
     the same entry bit sizes, as A, and its limit is P @ limit(A) @ Q.
-    So the exact run happens once per orbit of row and column
+    So the verdict is taken once per orbit of row and column
     permutations, on the orbit's least member in enumeration order,
     which is also the least in the lexicographic order of its rows. Its
     rows are sorted, or sorting them would give a smaller member, so the
@@ -414,10 +420,14 @@ def finite_termination_search(
         rows = list(form)
         if any(sorted(map(q, rows)) < rows for q in orders[1:]):
             continue  # another column order gives this orbit a smaller form
-        verdict = _verdict(_candidate(form, normalize_rows), cfg)
-        if verdict is None:
+        steps = _two_step_length(form, start_side, normalize_rows)
+        if steps is None:
             continue
-        steps, limit = verdict
+        result = sinkhorn(_candidate(form, normalize_rows), cfg)
+        assert (result.status, result.steps_taken) == (Status.TERMINATED_FINITE, steps)
+        # a run that first terminates at step 2 ends on a singular limit
+        assert steps < 2 or _determinant(result.limit.entries) == 0
+        limit = result.limit.entries
         orbit = {}
         for q in orders:
             q_rows, q_limit = list(map(q, form)), list(map(q, limit))
@@ -432,29 +442,51 @@ def finite_termination_search(
     ]
 
 
+def _two_step_length(rows, start_side: StartSide, normalize_rows: bool = False):
+    """The step at which the exact unit-margin run of a positive integer
+    n x n matrix (n >= 2) first terminates: 1, 2, or None for never.
+
+    Integers only, with no gcd. For a column-first run let c_j be the
+    column sums, C = prod(c_j) and P_i = sum_j a_ij * (C / c_j), so that
+    P_i / C is row i's sum after the column step: L = 1 iff every
+    P_i = C. Otherwise, with Q = prod(P_i), the row step leaves column j
+    with sum C * sum_i a_ij * (Q / P_i) / (c_j * Q), so L = 2 iff that is
+    1 for every j. L = 0 cannot occur, since each row sums to at least
+    n, and a run that has not terminated by step 2 never does (the
+    two-step proof in finite_termination_search). A row-first run is
+    the transposed column-first run.
+
+    With normalize_rows the answer is for the matrix with its rows
+    divided by their sums, which is the row-first run one step in. A row
+    step on it changes nothing, so from the row side a finish at step 1
+    reads 0 and one at step 2 stays at 2.
+    """
+    if normalize_rows:
+        length = _two_step_length(rows, StartSide.ROW_FIRST)
+        if length is None or (start_side is StartSide.ROW_FIRST and length == 2):
+            return length
+        return length - 1
+    cols = list(zip(*rows))
+    if start_side is StartSide.ROW_FIRST:
+        rows, cols = cols, rows
+    c = [sum(col) for col in cols]
+    C = prod(c)
+    w = [C // cj for cj in c]
+    P = [sum(map(mul, row, w)) for row in rows]
+    if P.count(C) == len(P):
+        return 1
+    Q = prod(P)
+    v = [Q // p for p in P]
+    if all(C * sum(map(mul, col, v)) == cj * Q for col, cj in zip(cols, c)):
+        return 2
+    return None
+
+
 def _candidate(rows, normalize_rows: bool) -> PositiveMatrix:
     rows = [[Fraction(v) for v in row] for row in rows]
     if normalize_rows:
         rows = [[x / s for x in row] for row, s in ((r, sum(r)) for r in rows)]
     return PositiveMatrix(rows)
-
-
-def _verdict(A: PositiveMatrix, cfg: IterationConfig):
-    """(steps, limit entries) when the exact run of A terminates, else None."""
-    # the 2x2 fast path only prefilters: most 2x2 candidates never
-    # terminate, and its cached integer test is cheaper than the two
-    # exact steps the engine would spend on each
-    if A.rows == 2:
-        length = termination_length_2x2(A, cfg.start_side, cfg.max_steps)
-        if length is None:
-            return None
-    result = sinkhorn(A, cfg)
-    if result.status is not Status.TERMINATED_FINITE:
-        return None
-    assert A.rows > 2 or result.steps_taken == length  # fast path agrees
-    # a run that first terminates at step 2 ends on a singular limit
-    assert result.steps_taken < 2 or _determinant(result.limit.entries) == 0
-    return result.steps_taken, result.limit.entries
 
 
 def _determinant(rows) -> Fraction:

@@ -308,6 +308,21 @@ class TestTrace:
         # entries 1/2: numerator is 1 bit, denominator 2 is 2 bits
         assert lines[1] == "0,-,0,0,2"
 
+    def test_exact_errors_past_the_integer_digit_limit(self, capsys):
+        # by step 8 a margin error's numerator has more than 4,300 digits,
+        # the interpreter's limit for str() of an int
+        code, out, err = run(
+            capsys, "trace", "--exact", "--steps", "8", "1,2,3,4;5,6,7,8;9,1,2,3;4,5,6,8"
+        )
+        assert (code, err) == (0, "")
+        lines = out.strip().split("\n")
+        assert [line.split(",", 1)[0] for line in lines[1:]] == [str(k) for k in range(9)]
+        # step 8 scales rows, and its column error is a long p/q
+        _, side, row_err, col_err, _ = lines[-1].split(",")
+        assert (side, row_err) == ("row", "0")
+        numerator, denominator = col_err.split("/")
+        assert numerator.isdigit() and denominator.isdigit() and len(numerator) > 4300
+
     def test_approx_margin_errors_shrink(self, capsys):
         code, out, _ = run(capsys, "trace", "1,2;3,4", "--tol", "1e-12")
         lines = out.strip().split("\n")

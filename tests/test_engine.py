@@ -4,6 +4,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from sinkhornlab import (
     transpose,
 )
 from sinkhornlab.cli import trace_csv
-from sinkhornlab.engine import _determinant, _steps_until_doubly_stochastic
+from sinkhornlab.engine import _determinant, _steps_until_doubly_stochastic, _two_step_length
 
 from .reference import _reference_length, exact_sinkhorn_reference, scaling_invariance_check
 from .strategies import (
@@ -629,6 +630,78 @@ class TestTwoStepBound:
         A = data.draw(integer_matrices_with_dependent_rows(n))
         res = sinkhorn(A, IterationConfig(start_side=side, max_steps=64), entry_bits_cap=4096)
         assert res.status is not Status.TERMINATED_FINITE or res.steps_taken <= 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(2, 3).flatmap(
+            lambda m: st.integers(2, 3).flatmap(
+                lambda n: st.lists(
+                    st.lists(st.integers(1, 3), min_size=n, max_size=n), min_size=m, max_size=m
+                )
+            )
+        ),
+        data=st.data(),
+        side=st.sampled_from(list(StartSide)),
+    )
+    def test_no_run_with_targets_first_terminates_after_step_two(self, rows, data, side):
+        # the proof weighted by the targets: sum(c_j k_j**2 / (1 + k_j)) = 0
+        m, n = len(rows), len(rows[0])
+        r = data.draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+        c = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        target = MarginTarget([x * sum(c) for x in r], [x * sum(r) for x in c])
+        cfg = IterationConfig(start_side=side, max_steps=5, margin_target=target)
+        res = sinkhorn(PositiveMatrix([[F(x) for x in row] for row in rows]), cfg)
+        assert res.status is not Status.TERMINATED_FINITE or res.steps_taken <= 2
+
+
+def _engine_length(A, side):
+    """The step at which a two-step exact run of A terminates, or None."""
+    res = sinkhorn(A, IterationConfig(start_side=side, max_steps=2))
+    return res.steps_taken if res.status is Status.TERMINATED_FINITE else None
+
+
+def _verdicts_checked_against_the_engine(rows):
+    """The integer verdicts on rows from both sides, with and without the
+    rows normalized, each checked against a two-step exact run."""
+    A = PositiveMatrix([[F(x) for x in row] for row in rows])
+    verdicts = {}
+    for side in StartSide:
+        for normalize_rows, B in ((False, A), (True, _row_normalized(A))):
+            verdict = _two_step_length(rows, side, normalize_rows)
+            assert verdict == _engine_length(B, side), (rows, side, normalize_rows)
+            verdicts[side, normalize_rows] = verdict
+    return verdicts
+
+
+class TestTwoStepLength:
+    """The search's integer verdict against the exact engine."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_backward_construction_takes_two_steps(self, n, data):
+        A, _ = data.draw(two_step_matrices(n))
+        # a positive multiple of A takes the same steps: each step ignores
+        # a common scale, and neither is doubly stochastic at step 0
+        scale = lcm(*(x.denominator for row in A.entries for x in row))
+        rows = [[int(x * scale) for x in row] for row in A.entries]
+        assert _verdicts_checked_against_the_engine(rows)[StartSide.COLUMN_FIRST, False] == 2
+        assert _two_step_length(list(zip(*rows)), StartSide.ROW_FIRST) == 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_seeded_integer_matrices(self, n):
+        rng = random.Random(1600 + n)
+        lengths = Counter()
+        for k in range(60):
+            if k % 3:
+                rows = [[rng.randint(1, 3) for _ in range(n)] for _ in range(n)]
+            else:  # rank one, the shape that terminates: equal rows when k is odd
+                u = [1] * n if k % 2 else [rng.randint(1, 3) for _ in range(n)]
+                v = [rng.randint(1, 3) for _ in range(n)]
+                rows = [[x * y for y in v] for x in u]
+            lengths.update(_verdicts_checked_against_the_engine(rows).values())
+        # hits of every length, and runs that never terminate
+        assert all(lengths[L] > 0 for L in (None, 0, 1, 2)), lengths
 
 
 class TestTraceCsv:
