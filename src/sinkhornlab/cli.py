@@ -385,7 +385,6 @@ def cmd_search(args) -> int:
         args.n,
         args.bound,
         start_side=StartSide(args.start_side),
-        normalize_rows=args.normalize_rows,
         candidate_cap=args.candidate_cap,
     )
     histogram = Counter(h.length for h in hits)
@@ -482,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="matrix size (n >= 2)")
     p.add_argument("--bound", type=int, required=True, help="largest integer entry")
     _add_start_side_flag(p)
-    p.add_argument("--normalize-rows", action="store_true", help="divide each candidate's rows by their sums first")
     p.add_argument("--candidate-cap", type=int, default=DEFAULT_SEARCH_CANDIDATE_CAP, help="refuse enumerations larger than this")
     _add_format_flag(p)
     p.set_defaults(func=cmd_search)

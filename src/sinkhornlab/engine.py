@@ -48,7 +48,8 @@ from .matrices import (
 DEFAULT_MAX_STEPS_APPROX = 10_000
 DEFAULT_MAX_STEPS_EXACT = 64
 
-#: largest enumeration the search accepts, bound ** (n * n) candidates
+#: largest enumeration the search accepts: bound ** (n * n) candidates, or n!
+#: permutation orders
 DEFAULT_SEARCH_CANDIDATE_CAP = 10_000_000
 
 _EXACT_ZERO = Fraction(0)
@@ -353,18 +354,14 @@ def finite_termination_search(
     bound: int,
     *,
     start_side: StartSide = StartSide.COLUMN_FIRST,
-    normalize_rows: bool = False,
     candidate_cap: int = DEFAULT_SEARCH_CANDIDATE_CAP,
 ) -> list[SearchHit]:
     """Catalog the n x n integer matrices (entries 1..bound) whose exact
     scaling iteration terminates.
 
-    With normalize_rows each candidate's rows are first divided by their
-    sums, making it row stochastic. That is a row-first run's first
-    step, so the hits are the row-first search's, normalized, with each
-    L one less from the column side and L = 1 read as 0 from the row
-    side. Raises ValueError when the
-    enumeration would exceed candidate_cap matrices.
+    Raises ValueError when the enumeration would exceed candidate_cap
+    matrices, or the n! permutation orders that the walk applies to each
+    form would; neither count is built in full to be compared.
 
     A terminating unit-margin run has terminated by step 2. Proof: let a
     positive A first reach a doubly stochastic iterate S at step L >= 3,
@@ -387,29 +384,33 @@ def finite_termination_search(
     sinkhorn run, which gives its limit, must terminate at the step the
     integer test named, and at L = 2 must end on a singular limit.
 
-    Row and column scalings commute with row and column permutations,
-    and so does row normalization: P @ A @ Q takes the same steps, with
-    the same entry bit sizes, as A, and its limit is P @ limit(A) @ Q.
-    So the verdict is taken once per orbit of row and column
-    permutations, on the orbit's least member in enumeration order,
-    which is also the least in the lexicographic order of its rows. Its
-    rows are sorted, or sorting them would give a smaller member, so the
-    walk visits only the matrices with sorted rows (each a multiset of
-    n rows) and skips one whenever some column order, followed by a row
-    sort, gives a smaller matrix. Every orbit keeps exactly one form.
-    A hit form's orbit is then expanded, each distinct member P @ F @ Q
-    with the limit P @ L @ Q, and candidates of the other orbits cost
-    nothing. Hits come in enumeration order.
+    Row and column scalings commute with row and column permutations:
+    P @ A @ Q takes the same steps, with the same entry bit sizes, as A,
+    and its limit is P @ limit(A) @ Q. So the verdict is taken once per
+    orbit of row and column permutations, on the orbit's least member in
+    enumeration order, which is also the least in the lexicographic
+    order of its rows. Its rows are sorted, or sorting them would give a
+    smaller member, so the walk visits only the matrices with sorted
+    rows (each a multiset of n rows) and skips one whenever some column
+    order, followed by a row sort, gives a smaller matrix. Every orbit
+    keeps exactly one form. A hit form's orbit is then expanded: first
+    its distinct column orders F @ Q, each with the limit L @ Q (equal
+    forms have equal limits, by the argument above), then every row
+    order of each, P @ F @ Q with P @ L @ Q. Candidates of the other
+    orbits cost nothing. Hits come in enumeration order.
     """
     if n < 2:
         raise ValueError(f"search needs n >= 2, got {n}")
     if bound < 1:
         raise ValueError(f"search needs bound >= 1, got {bound}")
-    total = bound ** (n * n)
-    if total > candidate_cap:
+    # past the cap's bit length 2 ** (n * n) alone exceeds it: the power is
+    # built only while it is small
+    if bound > 1 and n * n >= candidate_cap.bit_length() or bound ** (n * n) > candidate_cap:
         raise ValueError(
-            f"enumeration of {total} candidates exceeds the cap of {candidate_cap}"
+            f"enumeration of {bound}^{n * n} candidates exceeds the cap of {candidate_cap}"
         )
+    if any(f > candidate_cap for f in itertools.accumulate(range(1, n + 1), mul)):
+        raise ValueError(f"the {n}! permutation orders exceed the cap of {candidate_cap}")
     # no run first terminates after step 2 (the proof above)
     cfg = IterationConfig(start_side=start_side, max_steps=2)
     # one getter per order permutes a row's entries, or a matrix's rows
@@ -420,29 +421,28 @@ def finite_termination_search(
         rows = list(form)
         if any(sorted(map(q, rows)) < rows for q in orders[1:]):
             continue  # another column order gives this orbit a smaller form
-        steps = _two_step_length(form, start_side, normalize_rows)
+        steps = _two_step_length(form, start_side)
         if steps is None:
             continue
-        result = sinkhorn(_candidate(form, normalize_rows), cfg)
+        result = sinkhorn(PositiveMatrix(form), cfg)
         assert (result.status, result.steps_taken) == (Status.TERMINATED_FINITE, steps)
         # a run that first terminates at step 2 ends on a singular limit
         assert steps < 2 or _determinant(result.limit.entries) == 0
         limit = result.limit.entries
-        orbit = {}
+        column_forms = {}
         for q in orders:
-            q_rows, q_limit = list(map(q, form)), list(map(q, limit))
-            for p in orders:
-                orbit[p(q_rows)] = p(q_limit)
+            column_forms.setdefault(tuple(map(q, form)), tuple(map(q, limit)))
+        orbit = {p(q_rows): p(q_limit) for q_rows, q_limit in column_forms.items() for p in orders}
         found += ((member, steps, member_limit) for member, member_limit in orbit.items())
     # entry order is enumeration order, and no two hits share entries
     found.sort(key=itemgetter(0))
     return [
-        SearchHit(_candidate(member, normalize_rows), steps, PositiveMatrix(limit))
+        SearchHit(PositiveMatrix(member), steps, PositiveMatrix(limit))
         for member, steps, limit in found
     ]
 
 
-def _two_step_length(rows, start_side: StartSide, normalize_rows: bool = False):
+def _two_step_length(rows, start_side: StartSide):
     """The step at which the exact unit-margin run of a positive integer
     n x n matrix (n >= 2) first terminates: 1, 2, or None for never.
 
@@ -455,17 +455,7 @@ def _two_step_length(rows, start_side: StartSide, normalize_rows: bool = False):
     n, and a run that has not terminated by step 2 never does (the
     two-step proof in finite_termination_search). A row-first run is
     the transposed column-first run.
-
-    With normalize_rows the answer is for the matrix with its rows
-    divided by their sums, which is the row-first run one step in. A row
-    step on it changes nothing, so from the row side a finish at step 1
-    reads 0 and one at step 2 stays at 2.
     """
-    if normalize_rows:
-        length = _two_step_length(rows, StartSide.ROW_FIRST)
-        if length is None or (start_side is StartSide.ROW_FIRST and length == 2):
-            return length
-        return length - 1
     cols = list(zip(*rows))
     if start_side is StartSide.ROW_FIRST:
         rows, cols = cols, rows
@@ -480,13 +470,6 @@ def _two_step_length(rows, start_side: StartSide, normalize_rows: bool = False):
     if all(C * sum(map(mul, col, v)) == cj * Q for col, cj in zip(cols, c)):
         return 2
     return None
-
-
-def _candidate(rows, normalize_rows: bool) -> PositiveMatrix:
-    rows = [[Fraction(v) for v in row] for row in rows]
-    if normalize_rows:
-        rows = [[x / s for x in row] for row, s in ((r, sum(r)) for r in rows)]
-    return PositiveMatrix(rows)
 
 
 def _determinant(rows) -> Fraction:

@@ -553,7 +553,7 @@ fuzz_argv = st.one_of(
     argv_of(st.just(["classify"]), matrix_text(sizes=(2, 2, 2, 3)),
             optional_flags("--start-side", "--both-orders", "--format")),
     argv_of(st.just(["search", "--n", "2"]), st.tuples(st.just("--bound"), mostly(("1", "2", "3"), ("0", "-1"))),
-            optional_flags("--start-side", "--normalize-rows", "--format", "--candidate-cap")),
+            optional_flags("--start-side", "--format", "--candidate-cap")),
 )
 
 

@@ -434,16 +434,13 @@ class TestPermutationEquivariance:
         assert permuted.limit == _permute(base.limit, rows, cols)
 
 
-def _reference_search(n, bound, start_side=StartSide.COLUMN_FIRST, max_steps=64, normalize_rows=False):
+def _reference_search(n, bound, start_side=StartSide.COLUMN_FIRST, max_steps=64):
     """One exact run per candidate, in enumeration order: the oracle for
     the search, which runs once per permutation orbit."""
     cfg = IterationConfig(start_side=start_side, max_steps=max_steps)
     hits = []
     for combo in itertools.product(range(1, bound + 1), repeat=n * n):
-        rows = [[F(v) for v in combo[i * n:(i + 1) * n]] for i in range(n)]
-        if normalize_rows:
-            rows = [[x / sum(row) for x in row] for row in rows]
-        A = PositiveMatrix(rows)
+        A = PositiveMatrix([[F(v) for v in combo[i * n:(i + 1) * n]] for i in range(n)])
         if n == 2 and termination_length_2x2(A, start_side, max_steps) is None:
             continue
         res = sinkhorn(A, cfg, entry_bits_cap=4096)
@@ -452,29 +449,27 @@ def _reference_search(n, bound, start_side=StartSide.COLUMN_FIRST, max_steps=64,
     return hits
 
 
-def _row_normalized(A):
-    return PositiveMatrix([[x / sum(row) for x in row] for row in A.entries])
-
-
 class TestSearch:
     @pytest.mark.parametrize(
         "n,bound,kwargs",
         [
             (2, 5, {}),
             (2, 5, {"start_side": StartSide.ROW_FIRST}),
-            (2, 3, {"normalize_rows": True}),
+            (2, 3, {}),
             # the search stops every run by step 2, the reference runs
-            # each candidate to 64 steps or the bits cap
-            (3, 2, {"normalize_rows": True}),
+            # each candidate to 64 steps or the bits cap; a cap equal to
+            # the candidate count accepts the search
+            (3, 2, {"candidate_cap": 2 ** 9}),
             (3, 2, {}),
-            (3, 2, {"start_side": StartSide.ROW_FIRST, "normalize_rows": True}),
-            (2, 6, {"normalize_rows": True}),
+            (3, 2, {"start_side": StartSide.ROW_FIRST}),
+            (2, 6, {}),
             (2, 6, {"start_side": StartSide.ROW_FIRST}),
         ],
     )
     def test_orbit_search_matches_per_candidate_runs(self, n, bound, kwargs):
         hits = finite_termination_search(n, bound, **kwargs)
-        assert [(h.matrix, h.length, h.limit) for h in hits] == _reference_search(n, bound, **kwargs)
+        side = kwargs.get("start_side", StartSide.COLUMN_FIRST)
+        assert [(h.matrix, h.length, h.limit) for h in hits] == _reference_search(n, bound, side)
 
     @pytest.mark.parametrize("side", list(StartSide))
     def test_one_step_hits_are_the_one_step_catalog(self, side):
@@ -533,31 +528,13 @@ class TestSearch:
         assert hits[0].matrix == M((1, 1), (1, 1))
         assert hits[0].length == 1
 
-    def test_normalized_rows_variant(self):
-        hits = finite_termination_search(2, 3, normalize_rows=True)
-        assert all(row_sums(h.matrix) == (1, 1) for h in hits)
-        assert all(h.length <= 2 for h in hits)
-
-    @pytest.mark.parametrize("n,bound", [(2, 6), (3, 2), (3, 3)])
-    def test_normalized_rows_are_the_row_first_search_one_step_in(self, n, bound):
-        # dividing rows by their sums is the row-first run's first step
-        row_first = finite_termination_search(n, bound, start_side=StartSide.ROW_FIRST)
-        normalized = [_row_normalized(h.matrix) for h in row_first]
-        by_column = finite_termination_search(n, bound, normalize_rows=True)
-        assert [(h.matrix, h.length, h.limit) for h in by_column] == [
-            (A, h.length - 1, h.limit) for A, h in zip(normalized, row_first)
-        ]
-        # a row step on a row stochastic matrix changes nothing
-        by_row = finite_termination_search(n, bound, start_side=StartSide.ROW_FIRST, normalize_rows=True)
-        assert [(h.matrix, h.length, h.limit) for h in by_row] == [
-            (A, {1: 0, 2: 2}[h.length], h.limit) for A, h in zip(normalized, row_first)
-        ]
-
     def test_three_by_three_all_ones(self):
-        hits = finite_termination_search(3, 1)
-        assert len(hits) == 1
-        assert hits[0].length == 1
-        assert hits[0].limit == PositiveMatrix([[F(1, 3)] * 3] * 3)
+        # n = 8 expands its one hit over 8! column orders and 8! row orders
+        for n in (3, 8):
+            hits = finite_termination_search(n, 1)
+            assert len(hits) == 1
+            assert hits[0].length == 1
+            assert hits[0].limit == PositiveMatrix([[F(1, n)] * n] * n)
 
     @pytest.mark.parametrize("side", list(StartSide))
     def test_three_by_three_bound_two_at_the_default_bits_cap(self, side):
@@ -584,6 +561,26 @@ class TestSearch:
     def test_candidate_cap(self):
         with pytest.raises(ValueError):
             finite_termination_search(3, 10, candidate_cap=1000)
+
+    @pytest.mark.parametrize("n", [100, 10_000])
+    def test_candidate_cap_never_builds_the_count(self, n):
+        with pytest.raises(ValueError, match=rf"^enumeration of 3\^{n * n} candidates exceeds the cap"):
+            finite_termination_search(n, 3)
+
+    def test_candidate_cap_boundary(self):
+        # 2^16 candidates: the shortcut refuses a 16-bit cap, and the power
+        # decides a 17-bit one
+        with pytest.raises(ValueError, match=r"2\^16 candidates"):
+            finite_termination_search(4, 2, candidate_cap=2 ** 16 - 1)
+        assert len(finite_termination_search(4, 2, candidate_cap=2 ** 16)) == 456
+
+    def test_permutation_orders_are_capped(self):
+        # one candidate, but a walk over 11! = 39,916,800 orders
+        with pytest.raises(ValueError, match=r"^the 11! permutation orders exceed the cap of 10000000$"):
+            finite_termination_search(11, 1)
+        with pytest.raises(ValueError, match=r"the 4! permutation orders"):
+            finite_termination_search(4, 1, candidate_cap=23)
+        assert len(finite_termination_search(4, 1, candidate_cap=24)) == 1
 
     def test_bits_cap_guards_nonterminating_exact_runs(self):
         A = M((1, 2, 3), (2, 1, 1), (1, 5, 2))
@@ -661,15 +658,13 @@ def _engine_length(A, side):
 
 
 def _verdicts_checked_against_the_engine(rows):
-    """The integer verdicts on rows from both sides, with and without the
-    rows normalized, each checked against a two-step exact run."""
+    """The integer verdicts on rows from both sides, each checked against
+    a two-step exact run."""
     A = PositiveMatrix([[F(x) for x in row] for row in rows])
     verdicts = {}
     for side in StartSide:
-        for normalize_rows, B in ((False, A), (True, _row_normalized(A))):
-            verdict = _two_step_length(rows, side, normalize_rows)
-            assert verdict == _engine_length(B, side), (rows, side, normalize_rows)
-            verdicts[side, normalize_rows] = verdict
+        verdicts[side] = _two_step_length(rows, side)
+        assert verdicts[side] == _engine_length(A, side), (rows, side)
     return verdicts
 
 
@@ -685,7 +680,7 @@ class TestTwoStepLength:
         # a common scale, and neither is doubly stochastic at step 0
         scale = lcm(*(x.denominator for row in A.entries for x in row))
         rows = [[int(x * scale) for x in row] for row in A.entries]
-        assert _verdicts_checked_against_the_engine(rows)[StartSide.COLUMN_FIRST, False] == 2
+        assert _verdicts_checked_against_the_engine(rows)[StartSide.COLUMN_FIRST] == 2
         assert _two_step_length(list(zip(*rows)), StartSide.ROW_FIRST) == 2
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -700,8 +695,9 @@ class TestTwoStepLength:
                 v = [rng.randint(1, 3) for _ in range(n)]
                 rows = [[x * y for y in v] for x in u]
             lengths.update(_verdicts_checked_against_the_engine(rows).values())
-        # hits of every length, and runs that never terminate
-        assert all(lengths[L] > 0 for L in (None, 0, 1, 2)), lengths
+        # hits of both lengths, and runs that never terminate; L = 0 cannot
+        # occur, since a positive integer row sums to at least n
+        assert all(lengths[L] > 0 for L in (None, 1, 2)), lengths
 
 
 class TestTraceCsv:
