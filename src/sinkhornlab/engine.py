@@ -12,10 +12,11 @@ Two regimes:
   out. Convergence is linear for positive matrices, so the default
   budget of 10,000 steps is generous at desk scale.
 * exact (Fraction entries): the loop stops only when the iterate hits
-  its margins *exactly* -- the finite-termination event. Entry growth is
-  unbounded by design; every trace record carries the largest
-  numerator/denominator bit size so the blow-up is observable. The
-  default exact budget is 64 steps.
+  its margins *exactly* -- the finite-termination event. It computes on
+  reduced (numerator, denominator) pairs of ints and builds Fractions
+  only for what it returns. Entry growth is unbounded by design; every
+  trace record carries the largest numerator/denominator bit size so
+  the blow-up is observable. The default exact budget is 64 steps.
 
 Every run records a per-step trace of margin errors; matrix snapshots
 are captured only on request since exact iterates can grow large.
@@ -51,8 +52,6 @@ DEFAULT_MAX_STEPS_EXACT = 64
 #: largest enumeration the search accepts: bound ** (n * n) candidates, or n!
 #: permutation orders
 DEFAULT_SEARCH_CANDIDATE_CAP = 10_000_000
-
-_EXACT_ZERO = Fraction(0)
 
 
 class StartSide(enum.Enum):
@@ -111,14 +110,6 @@ def _side_of_step(start_side: StartSide, step: int) -> str:
     return "row" if step % 2 == 1 else "col"
 
 
-def _max_entry_bits(entries) -> int:
-    return max(
-        max(x.numerator.bit_length(), x.denominator.bit_length())
-        for row in entries
-        for x in row
-    )
-
-
 def sinkhorn(
     A: PositiveMatrix,
     cfg: IterationConfig | None = None,
@@ -138,10 +129,12 @@ def sinkhorn(
     entry_bits_cap, when set, aborts an exact run whose entries exceed
     that bit size, reporting MAX_STEPS_REACHED.
 
-    An exact step meets its own side's targets exactly, so the margin
-    test after it computes only the other side's sums and records the
-    side just scaled with error exactly 0. Step 0, and every float step,
-    computes both sides.
+    An exact run computes on reduced integer pairs, not Fractions (see
+    _exact_sinkhorn); its records, limit and diagonals are the Fractions
+    the same loop in Fraction arithmetic would give. An exact step meets
+    its own side's targets exactly, so the margin test after it computes
+    only the other side's sums and records the side just scaled with
+    error exactly 0. Step 0, and every float step, computes both sides.
     """
     cfg = cfg or IterationConfig()
     if cfg.margin_target is None and A.rows != A.cols:
@@ -149,65 +142,46 @@ def sinkhorn(
             f"unit-margin scaling needs a square matrix, got {A.rows}x{A.cols};"
             " pass a MarginTarget for rectangular input"
         )
-    exact = A.exact
     r_t, c_t = _resolve_targets(A, cfg.margin_target)
     tolerance = _resolve_tol(A, cfg.tolerance)
     max_steps = cfg.max_steps
     if max_steps is None:
-        max_steps = DEFAULT_MAX_STEPS_EXACT if exact else DEFAULT_MAX_STEPS_APPROX
+        max_steps = DEFAULT_MAX_STEPS_EXACT if A.exact else DEFAULT_MAX_STEPS_APPROX
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if A.exact:
+        return _exact_sinkhorn(
+            A, cfg.start_side, max_steps, r_t, c_t, capture_matrices, entry_bits_cap
+        )
 
     m, n = A.rows, A.cols
     cur = [list(row) for row in A.entries]
-    one = Fraction(1) if exact else 1.0
-    left = [one] * m
-    right = [one] * n
+    left = [1.0] * m
+    right = [1.0] * n
 
     records: list[TraceRecord] = []
-    status = Status.MAX_STEPS_REACHED
-    steps_taken = 0
-    # the side the last exact step scaled meets its targets exactly
-    rows_met = cols_met = False
-
     for step in itertools.count():
-        if rows_met:
-            row_err = _EXACT_ZERO
-        else:
-            rsums = [sum(row) for row in cur]
-            row_err = max(map(abs, map(sub, rsums, r_t)))
-        if cols_met:
-            col_err = _EXACT_ZERO
-        else:
-            csums = [sum(col) for col in zip(*cur)]
-            col_err = max(map(abs, map(sub, csums, c_t)))
-        bits = _max_entry_bits(cur) if exact else None
+        rsums = [sum(row) for row in cur]
+        row_err = max(map(abs, map(sub, rsums, r_t)))
+        csums = [sum(col) for col in zip(*cur)]
+        col_err = max(map(abs, map(sub, csums, c_t)))
         records.append(
             TraceRecord(
                 step=step,
                 side="-" if step == 0 else _side_of_step(cfg.start_side, step),
                 max_row_err=row_err,
                 max_col_err=col_err,
-                max_entry_bits=bits,
+                max_entry_bits=None,
                 matrix=PositiveMatrix(cur) if capture_matrices else None,
             )
         )
-        stochastic = (
-            row_err == 0 and col_err == 0
-            if exact
-            else row_err <= tolerance and col_err <= tolerance
-        )
-        if stochastic:
-            status = Status.TERMINATED_FINITE if exact else Status.CONVERGED
-            steps_taken = step
+        if row_err <= tolerance and col_err <= tolerance:
+            status = Status.CONVERGED
             break
-        if step == max_steps or (
-            entry_bits_cap is not None and bits is not None and bits > entry_bits_cap
-        ):
+        if step == max_steps:
             status = Status.MAX_STEPS_REACHED
-            steps_taken = step
             break
-        if not exact and step >= 64 and step & (step - 1) == 0:
+        if step >= 64 and step & (step - 1) == 0:
             _validated(cur, left, right, step)
         side = _side_of_step(cfg.start_side, step + 1)
         try:
@@ -230,16 +204,13 @@ def sinkhorn(
                 f"iteration left float range by step {step}: "
                 f"{name} {sums.index(0) + 1} sums to 0.0"
             ) from None
-        if exact:
-            cols_met = side == "col"
-            rows_met = not cols_met
 
-    limit, left_accum, right_accum = _validated(cur, left, right, steps_taken)
+    limit, left_accum, right_accum = _validated(cur, left, right, step)
     return SinkhornResult(
         limit=limit,
         left_accum=left_accum,
         right_accum=right_accum,
-        steps_taken=steps_taken,
+        steps_taken=step,
         status=status,
         trace=tuple(records),
     )
@@ -258,6 +229,123 @@ def _validated(cur, left, right, step: int):
         return PositiveMatrix(cur), DiagonalScaling(left), DiagonalScaling(right)
     except (NonPositiveEntryError, NonFiniteEntryError) as exc:
         raise type(exc)(f"iteration left float range by step {step}: {exc}") from None
+
+
+# --- the exact loop, on reduced integer pairs ---------------------------------
+
+_OTHER_SIDE = {"row": "col", "col": "row"}
+
+
+def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices, entry_bits_cap):
+    """sinkhorn's exact regime. Entries, margins, targets and the two
+    accumulated diagonals are (numerator, denominator) pairs of ints in
+    lowest terms, reduced with math.gcd after each sum and product as
+    Fraction reduces them, so each pair is its Fraction's and
+    max_entry_bits reads the same. Fractions are built only for what the
+    run returns: each record's errors and snapshot, the limit and both
+    diagonals.
+
+    The iterate is held as lines along the side the next step scales. A
+    step multiplies each line by its factor target / sum and transposes,
+    so the new lines run along the other side, whose sums are the only
+    margins the step moved off their targets.
+    """
+    side = _side_of_step(start_side, 1)  # the side the next step scales
+    other = _OTHER_SIDE[side]
+    targets = {"row": _pairs(r_t), "col": _pairs(c_t)}
+    accum = {"row": [(1, 1)] * A.rows, "col": [(1, 1)] * A.cols}
+    lines = [_pairs(row) for row in A.entries]
+    if side == "col":
+        lines = list(zip(*lines))
+    sums = list(map(_pair_sum, lines))
+    gaps = {
+        side: _max_gap(sums, targets[side]),
+        other: _max_gap(map(_pair_sum, zip(*lines)), targets[other]),
+    }
+    records: list[TraceRecord] = []
+    for step in itertools.count():
+        # the bit size of the largest numerator or denominator
+        bits = max(map(max, itertools.chain.from_iterable(lines))).bit_length()
+        row_gap, col_gap = gaps["row"], gaps["col"]
+        records.append(
+            TraceRecord(
+                step=step,
+                side="-" if step == 0 else _side_of_step(start_side, step),
+                max_row_err=Fraction(*row_gap),
+                max_col_err=Fraction(*col_gap),
+                max_entry_bits=bits,
+                matrix=PositiveMatrix(_fraction_rows(lines, side)) if capture_matrices else None,
+            )
+        )
+        if not row_gap[0] and not col_gap[0]:
+            status = Status.TERMINATED_FINITE
+            break
+        if step == max_steps or (entry_bits_cap is not None and bits > entry_bits_cap):
+            status = Status.MAX_STEPS_REACHED
+            break
+        factors = [_product(t, s[::-1]) for t, s in zip(targets[side], sums)]
+        lines = [[_product(x, f) for x in line] for line, f in zip(lines, factors)]
+        accum[side] = list(map(_product, accum[side], factors))
+        gaps[side] = (0, 1)
+        side = _OTHER_SIDE[side]
+        lines = list(zip(*lines))
+        sums = list(map(_pair_sum, lines))
+        gaps[side] = _max_gap(sums, targets[side])
+
+    return SinkhornResult(
+        limit=PositiveMatrix(_fraction_rows(lines, side)),
+        left_accum=DiagonalScaling(_fractions(accum["row"])),
+        right_accum=DiagonalScaling(_fractions(accum["col"])),
+        steps_taken=step,
+        status=status,
+        trace=tuple(records),
+    )
+
+
+def _pairs(values):
+    return [(x.numerator, x.denominator) for x in values]
+
+
+def _fractions(pairs):
+    return [Fraction(a, b) for a, b in pairs]
+
+
+def _fraction_rows(lines, side: str):
+    """The iterate's rows as Fractions, from lines along `side`."""
+    return list(map(_fractions, lines if side == "row" else zip(*lines)))
+
+
+def _product(x, y):
+    """x * y, reduced: a factor common to a numerator and the other
+    pair's denominator is the only one a product of reduced pairs has."""
+    (a, b), (c, d) = x, y
+    g, h = gcd(a, d), gcd(c, b)
+    return a // g * (c // h), b // h * (d // g)
+
+
+def _pair_sum(pairs):
+    """The sum of reduced pairs, reduced: over g = gcd(b, d), a/b + c/d
+    is t / (b/g * d) with t = a * d/g + c * b/g, and t can share a
+    factor with g only."""
+    it = iter(pairs)
+    a, b = next(it)
+    for c, d in it:
+        g = gcd(b, d)
+        s = b // g
+        t = a * (d // g) + c * s
+        h = gcd(t, g)
+        a, b = t // h, s * (d // h)
+    return a, b
+
+
+def _max_gap(sums, targets):
+    """max |s - t| over paired sums and targets, as an unreduced pair."""
+    best_num, best_den = 0, 1
+    for (a, b), (c, d) in zip(sums, targets):
+        num, den = abs(a * d - c * b), b * d
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return best_num, best_den
 
 
 # --- 2x2 fast path -----------------------------------------------------------
@@ -415,6 +503,13 @@ def finite_termination_search(
     cfg = IterationConfig(start_side=start_side, max_steps=2)
     # one getter per order permutes a row's entries, or a matrix's rows
     orders = [itemgetter(*p) for p in itertools.permutations(range(n))]
+    # fractions[v] == v, built once: PositiveMatrix keeps all-Fraction rows as
+    # they are, where it would convert every int entry
+    fractions = list(map(Fraction, range(bound + 1)))
+
+    def exact(rows):
+        return [list(map(fractions.__getitem__, row)) for row in rows]
+
     found = []
     row_values = itertools.product(range(1, bound + 1), repeat=n)
     for form in itertools.combinations_with_replacement(row_values, n):
@@ -424,7 +519,7 @@ def finite_termination_search(
         steps = _two_step_length(form, start_side)
         if steps is None:
             continue
-        result = sinkhorn(PositiveMatrix(form), cfg)
+        result = sinkhorn(PositiveMatrix(exact(form)), cfg)
         assert (result.status, result.steps_taken) == (Status.TERMINATED_FINITE, steps)
         # a run that first terminates at step 2 ends on a singular limit
         assert steps < 2 or _determinant(result.limit.entries) == 0
@@ -437,7 +532,7 @@ def finite_termination_search(
     # entry order is enumeration order, and no two hits share entries
     found.sort(key=itemgetter(0))
     return [
-        SearchHit(PositiveMatrix(member), steps, PositiveMatrix(limit))
+        SearchHit(PositiveMatrix(exact(member)), steps, PositiveMatrix(limit))
         for member, steps, limit in found
     ]
 

@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -231,9 +232,33 @@ class TestRcScaling:
 def _matches_two_sided_reference(A, side, budget, target=None):
     """Run sinkhorn and assert it agrees with the two-sided reference loop
     on every trace record, the status, the step count, the limit and
-    both diagonals."""
-    res = sinkhorn(A, IterationConfig(start_side=side, max_steps=budget, margin_target=target))
-    records, terminated, steps, limit, left, right = exact_sinkhorn_reference(A, side, budget, target)
+    both diagonals. The same run with snapshots captured must capture
+    left @ A @ right of each step, and a run capped at step 1's entry
+    bits must stop where the reference, run to that step, stops."""
+    cfg = IterationConfig(start_side=side, max_steps=budget, margin_target=target)
+    res = sinkhorn(A, cfg)
+    _assert_matches(res, exact_sinkhorn_reference(A, side, budget, target))
+
+    captured = sinkhorn(A, cfg, capture_matrices=True)
+    assert [replace(r, matrix=None) for r in captured.trace] == list(res.trace)
+    assert (captured.limit, captured.left_accum, captured.right_accum) == (
+        res.limit, res.left_accum, res.right_accum
+    )
+    for record in captured.trace:
+        *_, left, right = exact_sinkhorn_reference(A, side, record.step, target)
+        expected = apply_right(apply_left(DiagonalScaling(left), A), DiagonalScaling(right))
+        assert record.matrix == expected
+        assert all(type(x) is Fraction for row in record.matrix.entries for x in row)
+
+    cap = res.trace[min(1, res.steps_taken)].max_entry_bits
+    stop = next((r.step for r in res.trace if r.max_entry_bits > cap), res.steps_taken)
+    capped = sinkhorn(A, cfg, entry_bits_cap=cap)
+    _assert_matches(capped, exact_sinkhorn_reference(A, side, stop, target))
+    return res
+
+
+def _assert_matches(res, reference):
+    records, terminated, steps, limit, left, right = reference
     trace = [(r.step, r.side, r.max_row_err, r.max_col_err, r.max_entry_bits) for r in res.trace]
     assert trace == records
     # the side each step scaled meets its targets exactly, by recomputed sums
@@ -245,7 +270,8 @@ def _matches_two_sided_reference(A, side, budget, target=None):
     assert res.limit == PositiveMatrix(limit)
     assert res.left_accum == DiagonalScaling(left)
     assert res.right_accum == DiagonalScaling(right)
-    return res
+    values = itertools.chain(*res.limit.entries, res.left_accum.diag, res.right_accum.diag)
+    assert all(type(x) is Fraction for x in values)
 
 
 class TestTwoSidedReference:
@@ -264,6 +290,12 @@ class TestTwoSidedReference:
             (((1, 2, 3), (4, 5, 6), (7, 8, 10)), 5, None),
             (((1, 2, 3), (4, 5, 6)), 6, MarginTarget((1, 2), (1, 1, 1))),
             (((1, 1), (1, 1)), 4, MarginTarget((1, 3), (2, 2))),
+            (A_SLOW, 64, None),
+            (((F(1, 2**1074), 10**300), (1, 1)), 6, None),
+            (((1, F(1, 2)), (F(3, 4), 2)), 8, None),
+            (((F(1, 3), 2, F(5, 7)), (4, F(9, 2), 1)), 6, MarginTarget((F(1, 2), 2), (1, F(1, 2), 1))),
+            # a margin sum whose reduction cancels a factor of its terms' common denominator
+            (((F(1, 3), 1, F(1, 3)), (1, 1, 3), (F(2, 3), F(3, 2), F(1, 6))), 4, None),
         ],
     )
     def test_fixed_inputs(self, rows, budget, target, side):
