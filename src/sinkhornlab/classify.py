@@ -1,25 +1,25 @@
 """Exact termination classification for positive 2x2 matrices.
 
 Alternating scaling of a positive 2x2 matrix either reaches a doubly
-stochastic matrix within two steps or never reaches one. The cases are
-algebraic in the entries (a b; c d):
+stochastic matrix within two steps or never reaches one. Starting with
+column scaling, the cases are algebraic in the entries (a b; c d):
 
 * already doubly stochastic: length 0;
 * ab = cd: one column scaling suffices -- the matrix is (a ct; c at) and
   the limit swaps a/(a+c) and c/(a+c);
-* ac = bd: one row scaling suffices -- the mirror form (a b; bt at);
 * ad = bc (rank one) and not one of the above: exactly two steps, the
-  first scaling equalizes the parallel lines, the second lands on the
-  flat limit (1/2 1/2; 1/2 1/2);
+  column step equalizes the columns of (p q; pt qt), the row step lands
+  on the flat limit (1/2 1/2; 1/2 1/2);
 * everything else: the iteration never terminates (its limit is only
   reached asymptotically).
 
-Which one-step condition applies, and which rank-one parametrization is
-extracted, depends on whether the iteration starts with column or row
-scaling. The identities are tested exactly in integers, cross-multiplied
-over the entries' numerators and denominators, so no Fraction arithmetic
-is spent on an infinite verdict. Every verdict is cross-checked against
-the exact engine before it is returned.
+A row step on A is a column step on its transpose, so a row-first
+verdict is the column-first verdict of A^T, with the mirrored names: the
+one-step form (a b; bt at) and the rank-one form (p pt; r rt). The
+identities are tested exactly in integers, cross-multiplied over the
+entries' numerators and denominators, so no Fraction arithmetic is spent
+on an infinite verdict. Every verdict is cross-checked against the exact
+engine before it is returned.
 """
 
 from __future__ import annotations
@@ -58,6 +58,13 @@ _LENGTHS = {
     Termination.INFINITE: None,
 }
 
+# By start side, the one-step and the rank-one variant, each with the key of
+# its second param: a row-first verdict mirrors the transpose's column-first one.
+_NAMES = {
+    StartSide.COLUMN_FIRST: (Termination.ONE_STEP_COLUMN, "c", Termination.TWO_STEP_ROW_LAST, "q"),
+    StartSide.ROW_FIRST: (Termination.ONE_STEP_ROW, "b", Termination.TWO_STEP_COLUMN_LAST, "r"),
+}
+
 
 @dataclass(frozen=True)
 class TerminationClass:
@@ -86,53 +93,33 @@ def classify_2x2(
 ) -> TerminationClass:
     """Decide, exactly, how many scaling steps A needs: 0, 1, 2, or infinity.
 
-    The conditions are tested in integers on the reduced numerators and
-    denominators, cross-multiplied: with a = na/da and so on, ab = cd
-    iff na*nb*dc*dd == nc*nd*da*db, and ac = bd and ad = bc likewise.
-    Fractions are built only for the params and limit of a finite
-    verdict. Overlapping conditions resolve toward the shorter length (a
-    matrix with equal rows is both rank one and a one-step form; it
-    terminates in one step). The verdict is validated against the exact
-    engine run to 3 steps before being returned.
+    The column-first conditions are tested in integers on the reduced
+    numerators and denominators, cross-multiplied: with a = na/da and so
+    on, ab = cd iff na*nb*dc*dd == nc*nd*da*db, and ad = bc likewise. A
+    row-first call runs them on A^T (b and c swapped) and takes the
+    mirrored variant and param key. Fractions are built only for the
+    params and limit of a finite verdict. Overlapping conditions resolve
+    toward the shorter length (column-first, equal rows are both rank one
+    and a one-step form: one step). The engine's verdict on A itself, run
+    to 3 steps, validates the result before it is returned.
     """
     a, b, c, d = _require_exact_2x2(A)
+    one_step, one_key, two_step, two_key = _NAMES[start_side]
+    if start_side is StartSide.ROW_FIRST:
+        b, c = c, b
     na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
     nc, dc, nd, dd = c.numerator, c.denominator, d.numerator, d.denominator
     if a == d and b == c and na * db + nb * da == da * db:
-        verdict = TerminationClass(
-            Termination.ALREADY_DOUBLY_STOCHASTIC, start_side, {}, A
-        )
-    elif start_side is StartSide.COLUMN_FIRST and na * nb * dc * dd == nc * nd * da * db:
-        verdict = TerminationClass(
-            Termination.ONE_STEP_COLUMN,
-            start_side,
-            {"a": a, "c": c, "t": Fraction(nb * dc, db * nc)},
-            _swapped_limit(na * dc, nc * da),
-        )
-    elif start_side is StartSide.ROW_FIRST and na * nc * db * dd == nb * nd * da * dc:
-        verdict = TerminationClass(
-            Termination.ONE_STEP_ROW,
-            start_side,
-            {"a": a, "b": b, "t": Fraction(nc * db, dc * nb)},
-            _swapped_limit(na * db, nb * da),
-        )
+        # A is symmetric here, so it is its own transpose
+        verdict = TerminationClass(Termination.ALREADY_DOUBLY_STOCHASTIC, start_side, {}, A)
+    elif na * nb * dc * dd == nc * nd * da * db:
+        params = {"a": a, one_key: c, "t": Fraction(nb * dc, db * nc)}
+        verdict = TerminationClass(one_step, start_side, params, _swapped_limit(na * dc, nc * da))
     elif na * nd * db * dc == nb * nc * da * dd:
-        if start_side is StartSide.COLUMN_FIRST:
-            # proportional rows (p q; pt qt): the column step equalizes the
-            # columns, the row step flattens them
-            verdict = TerminationClass(
-                Termination.TWO_STEP_ROW_LAST,
-                start_side,
-                {"p": a, "q": b, "t": Fraction(nc * da, dc * na)},
-                _FLAT_LIMIT,
-            )
-        else:
-            verdict = TerminationClass(
-                Termination.TWO_STEP_COLUMN_LAST,
-                start_side,
-                {"p": a, "r": c, "t": Fraction(nb * da, db * na)},
-                _FLAT_LIMIT,
-            )
+        # proportional rows (p q; pt qt): the column step equalizes the
+        # columns, the row step flattens them
+        params = {"p": a, two_key: b, "t": Fraction(nc * da, dc * na)}
+        verdict = TerminationClass(two_step, start_side, params, _FLAT_LIMIT)
     else:
         verdict = TerminationClass(Termination.INFINITE, start_side, {}, None)
 

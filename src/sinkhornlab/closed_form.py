@@ -183,10 +183,8 @@ def bordered_matrix(n: int, K: Scalar) -> PositiveMatrix:
         raise ValueError(f"bordered matrix needs n >= 2, got {n}")
     if K <= 0:
         raise ValueError(f"corner entry must be positive, got {K}")
-    one = Fraction(1) if isinstance(K, (int, Fraction)) else 1.0
-    K = Fraction(K) if isinstance(K, int) else K
-    first = (K,) + (one,) * (n - 1)
-    other = (one,) * n
+    first = (K,) + (1,) * (n - 1)
+    other = (1,) * n
     return PositiveMatrix((first,) + (other,) * (n - 1))
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import re
 import sys
 from fractions import Fraction
@@ -164,16 +165,20 @@ class TestSoundness:
             assert (v.variant, v.params, v.limit) == classify_2x2_reference(A, side)
 
     def test_small_exhaustive_agreement(self):
+        # every matrix from both sides: the length against the 64-step fast
+        # path, and the variant, the params in key order and the limit
+        # against the Fraction reference
         values = [
             F(p, q) for p in range(1, 4) for q in range(1, 4) if gcd(p, q) == 1
         ]
-        for a in values:
-            for b in values:
-                for c in values:
-                    for d in values:
-                        A = M((a, b), (c, d))
-                        v = classify_2x2(A)
-                        assert v.length == termination_length_2x2(A, max_steps=64)
+        for a, b, c, d in itertools.product(values, repeat=4):
+            A = M((a, b), (c, d))
+            for side in StartSide:
+                v = classify_2x2(A, side)
+                assert v.length == termination_length_2x2(A, side, max_steps=64)
+                variant, params, limit = classify_2x2_reference(A, side)
+                assert v.variant is variant and v.limit == limit
+                assert list(v.params.items()) == list(params.items())
 
 
 def reconstruct(verdict):

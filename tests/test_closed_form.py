@@ -288,6 +288,8 @@ class TestBorderedMatrix:
             bordered_matrix(1, 2)
         with pytest.raises(ValueError):
             bordered_matrix(3, 0)
+        with pytest.raises(TypeError, match="not a scalar: True"):
+            bordered_matrix(3, True)
 
 
 @pytest.mark.parametrize(
