@@ -95,10 +95,13 @@ def read_matrix(source: str, exact: bool) -> PositiveMatrix:
     """
     if os.path.isfile(source):
         text = Path(source).read_text()
-        if exact:
-            obj = json.loads(text, parse_float=str, parse_int=str)
-        else:
-            obj = json.loads(text)
+        try:
+            if exact:
+                obj = json.loads(text, parse_float=str, parse_int=str)
+            else:
+                obj = json.loads(text)
+        except RecursionError:  # not a ValueError, so main() would not catch it
+            raise CliError(f"{source}: JSON nests too deeply to read") from None
         return PositiveMatrix.from_json_obj(obj)
     return _parse_inline(source, exact)
 

@@ -3,13 +3,17 @@ doubly stochastic predicate built on them.
 
 Two numeric regimes share one representation: exact (Fraction entries,
 ints are promoted) and approximate (float entries). A matrix is pinned to
-a single regime at construction and operations never mix regimes. All
-values are immutable once built, so everything here is safe to share
-across threads.
+a single regime at construction and operations never mix regimes.
+
+PositiveMatrix, DiagonalScaling and MarginTarget are frozen dataclasses:
+each validates its input in its own __init__, is compared and hashed by
+value, and raises FrozenInstanceError on assignment, so everything here
+is safe to share across threads and to use as a dict or cache key.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import inf
@@ -93,6 +97,7 @@ def _require_positive(flat, exact: bool, describe) -> None:
     raise NonFiniteEntryError(f"{label} is not finite: {shown}")
 
 
+@dataclass(frozen=True, slots=True)
 class PositiveMatrix:
     """Dense m x n matrix with strictly positive entries.
 
@@ -102,7 +107,8 @@ class PositiveMatrix:
     :class:`NonFiniteEntryError`, each naming the offending position.
     """
 
-    __slots__ = ("entries", "exact")
+    entries: tuple[tuple[Scalar, ...], ...]
+    exact: bool
 
     def __init__(self, rows: Iterable[Iterable[Scalar]]):
         entries = tuple(tuple(row) for row in rows)
@@ -118,8 +124,9 @@ class PositiveMatrix:
             return f"entry ({i + 1},{j + 1})", entries[i][j]
 
         _require_positive(flat, exact, describe)
-        self.entries = tuple(flat[i * n:(i + 1) * n] for i in range(len(entries)))
-        self.exact = exact
+        grid = tuple(flat[i * n:(i + 1) * n] for i in range(len(entries)))
+        object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "exact", exact)
 
     @property
     def rows(self) -> int:
@@ -128,14 +135,6 @@ class PositiveMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PositiveMatrix):
-            return NotImplemented
-        return self.exact == other.exact and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.exact, self.entries))
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -177,38 +176,35 @@ class PositiveMatrix:
         return cls(parsed)
 
 
+@dataclass(frozen=True, slots=True)
 class DiagonalScaling:
     """Positive diagonal matrix stored as its diagonal vector."""
 
-    __slots__ = ("diag", "exact")
+    diag: tuple[Scalar, ...]
+    exact: bool
 
     def __init__(self, diag: Iterable[Scalar]):
         flat, exact = _coerce(diag, "diagonal")
         if not flat:
             raise DimensionError("diagonal needs at least one coordinate")
         _require_positive(flat, exact, lambda k: (f"diagonal coordinate {k + 1}", flat[k]))
-        self.diag = flat
-        self.exact = exact
+        object.__setattr__(self, "diag", flat)
+        object.__setattr__(self, "exact", exact)
 
     def __len__(self) -> int:
         return len(self.diag)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiagonalScaling):
-            return NotImplemented
-        return self.exact == other.exact and self.diag == other.diag
-
-    def __hash__(self):
-        return hash((self.exact, self.diag))
 
     def __repr__(self) -> str:
         return f"diag({', '.join(_render(x, self.exact) for x in self.diag)})"
 
 
+@dataclass(frozen=True, slots=True)
 class MarginTarget:
     """Positive target row sums r and column sums c with equal totals."""
 
-    __slots__ = ("row_targets", "col_targets", "exact")
+    row_targets: tuple[Scalar, ...]
+    col_targets: tuple[Scalar, ...]
+    exact: bool
 
     def __init__(self, row_targets: Iterable[Scalar], col_targets: Iterable[Scalar]):
         rt, r_exact = _coerce(row_targets, "row targets")
@@ -223,18 +219,9 @@ class MarginTarget:
             raise ValueError(
                 f"target totals differ: sum(r) = {r_total}, sum(c) = {c_total}"
             )
-        self.row_targets = rt
-        self.col_targets = ct
-        self.exact = r_exact
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MarginTarget):
-            return NotImplemented
-        return (
-            self.exact == other.exact
-            and self.row_targets == other.row_targets
-            and self.col_targets == other.col_targets
-        )
+        object.__setattr__(self, "row_targets", rt)
+        object.__setattr__(self, "col_targets", ct)
+        object.__setattr__(self, "exact", r_exact)
 
     def __repr__(self) -> str:
         return f"MarginTarget(r={list(self.row_targets)}, c={list(self.col_targets)})"

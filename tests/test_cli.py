@@ -118,6 +118,19 @@ class TestScale:
         assert code == 0
         assert "mode: exact" in out
 
+    @pytest.mark.parametrize("depth", [1_000, 100_000])
+    @pytest.mark.parametrize("argv", [("scale",), ("scale", "--exact"), ("classify",)])
+    def test_deeply_nested_json_file_is_one_error_line(self, capsys, tmp_path, argv, depth):
+        # json.loads raises RecursionError, not a ValueError: from about 1,000
+        # levels before Python 3.12, and by 10,000 levels on 3.12 and 3.13
+        path = tmp_path / "deep.json"
+        path.write_text('{"rows": ' + "[" * depth + "1" + "]" * depth + "}")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if depth > 10_000 or sys.version_info < (3, 12):
+            assert err == f"error: {path}: JSON nests too deeply to read\n"
+
     @pytest.mark.parametrize("tol", ["inf", "1e400", "nan", "-1"])
     def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tol):
         # inf once reported the unscaled input as converged after 0 steps

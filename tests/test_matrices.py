@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 import sys
 from fractions import Fraction
 from math import inf, nan
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from sinkhornlab import (
     DiagonalScaling,
     DimensionError,
+    IterationConfig,
     MarginTarget,
     NonFiniteEntryError,
     NonPositiveEntryError,
@@ -214,6 +218,30 @@ class TestConstruction:
     def test_structural_equality_distinguishes_regimes(self):
         assert M((1, 2), (3, 4)) == M((1, 2), (3, 4))
         assert M((1, 2), (3, 4)) != M((1.0, 2.0), (3.0, 4.0))
+
+
+_VALUES = {
+    "exact matrix": (lambda: M((1, 2), (3, 4)), "entries"),
+    "float matrix": (lambda: M((1.0, 2.0), (3.0, 4.0)), "entries"),
+    "exact diagonal": (lambda: DiagonalScaling((F(1, 2), 3)), "diag"),
+    "float diagonal": (lambda: DiagonalScaling((0.5, 3.0)), "diag"),
+    "exact target": (lambda: MarginTarget((1, 3), (2, 2)), "row_targets"),
+    "float target": (lambda: MarginTarget((1.0, 3.0), (2.0, 2.0)), "row_targets"),
+}
+
+
+@pytest.mark.parametrize("build, field", _VALUES.values(), ids=_VALUES)
+def test_values_are_frozen_hashable_and_compared_by_value(build, field):
+    v, w = build(), build()
+    assert v is not w and v == w and hash(v) == hash(w) and {v: 1}[w] == 1
+    if isinstance(v, MarginTarget):  # a config holding a target keys a cache too
+        assert hash(IterationConfig(margin_target=v)) == hash(IterationConfig(margin_target=w))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(v, field, getattr(w, field)[::-1])
+    assert v == w
+    for twin in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+        assert type(twin) is type(v) and twin == v and hash(twin) == hash(v)
+        assert repr(twin) == repr(v)
 
 
 class TestMargins:
