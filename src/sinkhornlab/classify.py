@@ -25,7 +25,7 @@ engine before it is returned.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .closed_form import _alpha_beta_matrix
@@ -75,12 +75,13 @@ class TerminationClass:
     one-step-row (a b; bt at), {p, q, t} for two-step-row-last
     (p q; pt qt), {p, r, t} for two-step-column-last (p pt; r rt).
     limit is the exact doubly stochastic matrix for finite verdicts and
-    None for infinite ones.
+    None for infinite ones. A verdict is compared by every field and
+    hashed by all but params, a dict, so it can key a set or a cache.
     """
 
     variant: Termination
     start_side: StartSide
-    params: dict[str, Fraction]
+    params: dict[str, Fraction] = field(hash=False)
     limit: PositiveMatrix | None
 
     @property

@@ -131,10 +131,12 @@ def sinkhorn(
 
     An exact run computes on reduced integer pairs, not Fractions (see
     _exact_sinkhorn); its records, limit and diagonals are the Fractions
-    the same loop in Fraction arithmetic would give. An exact step meets
-    its own side's targets exactly, so the margin test after it computes
-    only the other side's sums and records the side just scaled with
-    error exactly 0. Step 0, and every float step, computes both sides.
+    the same loop in Fraction arithmetic would give. Its diagonals are
+    the products of the step factors, formed once, when the run returns,
+    not reduced step by step. An exact step meets its own side's targets
+    exactly, so the margin test after it computes only the other side's
+    sums and records the side just scaled with error exactly 0. Step 0,
+    and every float step, computes both sides.
     """
     cfg = cfg or IterationConfig()
     if cfg.margin_target is None and A.rows != A.cols:
@@ -237,13 +239,17 @@ _OTHER_SIDE = {"row": "col", "col": "row"}
 
 
 def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices, entry_bits_cap):
-    """sinkhorn's exact regime. Entries, margins, targets and the two
-    accumulated diagonals are (numerator, denominator) pairs of ints in
-    lowest terms, reduced with math.gcd after each sum and product as
-    Fraction reduces them, so each pair is its Fraction's and
-    max_entry_bits reads the same. Fractions are built only for what the
-    run returns: each record's errors and snapshot, the limit and both
-    diagonals.
+    """sinkhorn's exact regime. Entries, margins, targets and step factors
+    are (numerator, denominator) pairs of ints in lowest terms, reduced
+    with math.gcd after each sum and product as Fraction reduces them, so
+    each pair is its Fraction's and max_entry_bits reads the same.
+    Fractions are built only for what the run returns: each record's
+    errors and snapshot, the limit and both diagonals.
+
+    Nothing reads a diagonal before the run returns, so the loop keeps
+    each step's factors and forms the diagonals once, at the end: reduced
+    every step, they would cost two gcds per entry on operands of
+    thousands of bits.
 
     The iterate is held as lines along the side the next step scales. A
     step multiplies each line by its factor target / sum and transposes,
@@ -253,7 +259,9 @@ def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices, entry_
     side = _side_of_step(start_side, 1)  # the side the next step scales
     other = _OTHER_SIDE[side]
     targets = {"row": _pairs(r_t), "col": _pairs(c_t)}
-    accum = {"row": [(1, 1)] * A.rows, "col": [(1, 1)] * A.cols}
+    # each step's factors by side, after an all-ones step that keeps a
+    # diagonal no step scaled at 1
+    factor_steps = {"row": [[(1, 1)] * A.rows], "col": [[(1, 1)] * A.cols]}
     lines = [_pairs(row) for row in A.entries]
     if side == "col":
         lines = list(zip(*lines))
@@ -285,7 +293,7 @@ def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices, entry_
             break
         factors = [_product(t, s[::-1]) for t, s in zip(targets[side], sums)]
         lines = [[_product(x, f) for x in line] for line, f in zip(lines, factors)]
-        accum[side] = list(map(_product, accum[side], factors))
+        factor_steps[side].append(factors)
         gaps[side] = (0, 1)
         side = _OTHER_SIDE[side]
         lines = list(zip(*lines))
@@ -294,8 +302,8 @@ def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices, entry_
 
     return SinkhornResult(
         limit=PositiveMatrix(_fraction_rows(lines, side)),
-        left_accum=DiagonalScaling(_fractions(accum["row"])),
-        right_accum=DiagonalScaling(_fractions(accum["col"])),
+        left_accum=DiagonalScaling(_diagonal(factor_steps["row"])),
+        right_accum=DiagonalScaling(_diagonal(factor_steps["col"])),
         steps_taken=step,
         status=status,
         trace=tuple(records),
@@ -308,6 +316,12 @@ def _pairs(values):
 
 def _fractions(pairs):
     return [Fraction(a, b) for a, b in pairs]
+
+
+def _diagonal(factor_steps):
+    """Each line's product of its step factors, as one Fraction, which
+    reduces it with a single gcd."""
+    return [Fraction(*map(prod, zip(*factors))) for factors in zip(*factor_steps)]
 
 
 def _fraction_rows(lines, side: str):

@@ -13,6 +13,7 @@ is safe to share across threads and to use as a dict or cache key.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -171,9 +172,16 @@ class PositiveMatrix:
                     except OverflowError:  # an integer literal beyond float range
                         raise NonFiniteEntryError("matrix entry is beyond float range") from None
                 else:
-                    raise ValueError(f"matrix entry is not a number: {x!r}")
+                    raise ValueError(f"matrix entry is not a number: {_echo(x)}")
             parsed.append(out)
         return cls(parsed)
+
+
+def _echo(x) -> str:
+    """x's repr for an error line, cut to 60 characters; reprlib abbreviates
+    long and deeply nested containers without recursing through them."""
+    text = reprlib.repr(x)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 @dataclass(frozen=True, slots=True)

@@ -262,6 +262,28 @@ class TestBothOrders:
         assert comparison.row_first.length == 0
         assert comparison.step_difference == 0
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1, 12), (3, 4)),
+            ((1, 3), (12, 4)),
+            ((1, 2), (2, 4)),
+            ((F(2, 5), F(3, 5)), (F(3, 5), F(2, 5))),
+            ((1, 3), (3, 4)),
+        ],
+    )
+    def test_verdicts_of_both_orders_go_into_a_set(self, rows):
+        A = M(*rows)
+        comparison = classify_both_orders(A)
+        verdicts = {comparison.column_first, comparison.row_first}
+        assert len(verdicts) == 2
+        # a recomputed verdict is equal, hashes equal and is found
+        for side in StartSide:
+            again = classify_2x2(A, side)
+            assert again in verdicts
+            assert hash(again) == hash(classify_2x2(A, side))
+        assert classify_both_orders(A) in {comparison}
+
 
 class TestStochasticOneStepForms:
     """A matrix stochastic on one side but not doubly stochastic is a

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sinkhornlab import (
+    DEFAULT_MAX_STEPS_EXACT,
     DiagonalScaling,
     DimensionError,
     IterationConfig,
@@ -325,6 +326,65 @@ class TestTwoSidedReference:
         r = tuple(F(i + 1) for i in range(A.rows))
         c = (sum(r) - A.cols + 1,) + (F(1),) * (A.cols - 1)
         _matches_two_sided_reference(A, side, budget, MarginTarget(r, c))
+
+
+def _matches_reference_and_rebuilds_limit(A, side, budget, target=None):
+    """_assert_matches on one run, which must also satisfy
+    left @ A @ right == limit exactly. Budget None is the default budget.
+    Snapshots are not checked: that reruns the reference to every step."""
+    res = sinkhorn(A, IterationConfig(start_side=side, max_steps=budget, margin_target=target))
+    reference = exact_sinkhorn_reference(A, side, budget or DEFAULT_MAX_STEPS_EXACT, target)
+    _assert_matches(res, reference)
+    assert apply_right(apply_left(res.left_accum, A), res.right_accum) == res.limit
+    return res
+
+
+class TestLongExactRuns:
+    """Runs long enough that the diagonals reach thousands of bits, where
+    the engine forms them once from the step factors and the reference
+    multiplies them step by step."""
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize(
+        "rows",
+        [  # the 2x2 inputs of the golden `scale --exact` cases
+            ((1, 12), (3, 4)),
+            ((F(3, 2), 5), (F(3, 4), F(1, 4))),
+            ((4, F(1, 6)), (5, F(5, 3))),
+            ((F(1, 5), F(5, 2)), (F(2, 5), F(1, 4))),
+            ((F(3, 4), F(3, 4)), (F(4, 3), 2)),
+            ((F(5, 4), F(1, 4)), (F(2, 3), F(3, 2))),
+            ((F(3, 2), F(2, 5)), (1, F(5, 4))),
+            ((F(1, 3), 6), (F(3, 4), F(1, 4))),
+            ((F(3, 2), F(1, 3)), (F(4, 3), F(6, 5))),
+        ],
+    )
+    def test_golden_inputs_at_the_default_budget(self, rows, side):
+        _matches_reference_and_rebuilds_limit(M(*rows), side, None)
+
+    def test_two_hundred_steps(self):
+        res = _matches_reference_and_rebuilds_limit(
+            M((4, F(3, 4)), (F(1, 5), F(5, 3))), StartSide.COLUMN_FIRST, 200
+        )
+        assert (res.status, res.steps_taken) == (Status.MAX_STEPS_REACHED, 200)
+        assert max(x.denominator.bit_length() for x in res.left_accum.diag) > 50_000
+
+    def test_doubly_stochastic_input_keeps_unit_fraction_diagonals(self):
+        q, h = F(1, 4), F(1, 2)
+        res = _matches_reference_and_rebuilds_limit(
+            M((h, q, q), (q, h, q), (q, q, h)), StartSide.ROW_FIRST, None
+        )
+        assert res.steps_taken == 0
+        for x in res.left_accum.diag + res.right_accum.diag:
+            assert type(x) is Fraction and x == 1
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    def test_rectangular_targets(self, side):
+        # entry bits about double every step under these targets
+        res = _matches_reference_and_rebuilds_limit(
+            M((1, 2, 3), (4, 5, 6)), side, 16, MarginTarget((1, 2), (1, 1, 1))
+        )
+        assert res.status is Status.MAX_STEPS_REACHED
 
 
 class TestInvariance:

@@ -463,3 +463,18 @@ class TestJson:
     def test_missing_rows_field_rejected(self):
         with pytest.raises(ValueError):
             PositiveMatrix.from_json_obj(json.loads('[[1, 2], [3, 4]]'))
+
+    @pytest.mark.parametrize("depth", [1, 1_000, 100_000])
+    def test_non_number_entry_is_echoed_in_a_short_line(self, depth):
+        entry = [0] * 5000
+        for _ in range(depth - 1):
+            entry = [entry]
+        with pytest.raises(ValueError, match="^matrix entry is not a number: ") as info:
+            PositiveMatrix.from_json_obj({"rows": [[1, entry]]})
+        assert len(str(info.value)) <= 100
+
+    @pytest.mark.parametrize("entry,echo", [(None, "None"), (True, "True"), ([1, 2], "[1, 2]")])
+    def test_short_non_number_entry_is_echoed_whole(self, entry, echo):
+        with pytest.raises(ValueError) as info:
+            PositiveMatrix.from_json_obj({"rows": [[1, entry]]})
+        assert str(info.value) == f"matrix entry is not a number: {echo}"
