@@ -98,8 +98,8 @@ def read_matrix(source: str, exact: bool) -> PositiveMatrix:
         try:
             if exact:
                 obj = json.loads(text, parse_float=str, parse_int=str)
-            else:
-                obj = json.loads(text)
+            else:  # as floats: int() refuses literals past 4,300 digits
+                obj = json.loads(text, parse_int=float)
         except RecursionError:  # not a ValueError, so main() would not catch it
             raise CliError(f"{source}: JSON nests too deeply to read") from None
         return PositiveMatrix.from_json_obj(obj)
@@ -225,9 +225,9 @@ def _closed_form_note(A: PositiveMatrix):
     (a, b), (c, d) = A.entries
     exact = limit_2x2_exact(a, b, c, d)
     if exact.is_rational:
-        fields = {"alpha": str(exact.alpha), "beta": str(exact.beta), "rational": True}
+        fields = {"alpha": format_rational(exact.alpha), "beta": format_rational(exact.beta), "rational": True}
         return f"closed-form limit: alpha = {fields['alpha']}, beta = {fields['beta']}", fields
-    fields = {"ratio": str(exact.ratio), "rational": False}
+    fields = {"ratio": format_rational(exact.ratio), "rational": False}
     return f"closed-form limit is irrational: ad/bc = {fields['ratio']} is not a rational square", fields
 
 
@@ -295,7 +295,10 @@ def cmd_limit(args) -> int:
         (a, b), (c, d) = A.entries
 
     if bordered:
-        n = int(args.bordered[0])
+        try:
+            n = int(args.bordered[0])
+        except ValueError:
+            raise CliError(f"--bordered N must be an integer, got {args.bordered[0]!r}") from None
         K = _parse_scalar(args.bordered[1], exact=False)
         obj = {"family": "bordered", **dataclasses.asdict(bordered_limit(n, K))}
         lines = [
@@ -306,7 +309,7 @@ def cmd_limit(args) -> int:
     elif triangular:
         lim = bordered_limit_triangular(args.triangular)
         obj = {"family": "triangular", "k": args.triangular}
-        obj.update((name, str(getattr(lim, name))) for name in ("K", "alpha", "beta", "gamma"))
+        obj.update((name, format_rational(getattr(lim, name))) for name in ("K", "alpha", "beta", "gamma"))
         lines = [
             f"triangular family: k = {args.triangular}, K = {obj['K']}",
             *_value_lines(obj, "alpha", "beta", "gamma", exact=True),
@@ -330,15 +333,15 @@ def cmd_limit(args) -> int:
         obj = {
             "family": "exact-2x2",
             "rational": lim.is_rational,
-            "ratio": str(lim.ratio),
-            "alpha": None if lim.alpha is None else str(lim.alpha),
-            "beta": None if lim.beta is None else str(lim.beta),
+            "ratio": format_rational(lim.ratio),
+            "alpha": None if lim.alpha is None else format_rational(lim.alpha),
+            "beta": None if lim.beta is None else format_rational(lim.beta),
         }
         if lim.is_rational:
             lines = _value_lines(obj, "alpha", "beta", exact=True)
             lines += _limit_lines(lim.matrix().to_json_obj())
         else:
-            lines = [f"irrational: ad/bc = {lim.ratio} is not a rational square"]
+            lines = [f"irrational: ad/bc = {obj['ratio']} is not a rational square"]
     else:
         lim = limit_2x2(float(a), float(b), float(c), float(d))
         obj = {
@@ -433,8 +436,10 @@ def _add_format_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("human", "json"), default="human")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser on every call, so changing it cannot affect main()."""
+    """The CLI's parser, built once and reused, so callers must not change
+    it: building one costs about 30 times as much as a parse."""
     parser = argparse.ArgumentParser(
         prog="sinkhornlab",
         description="Alternating row/column scaling of positive matrices: "
@@ -491,20 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """main's parser, built on first use and then reused: building one
-    costs about 30 times as much as a parse. Parsing leaves the parser as
-    it was."""
-    return build_parser()
-
-
 #: exit code for a closed stdout, as a shell reports a process killed by SIGPIPE
 EXIT_BROKEN_PIPE = 141
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:  # the reader left: not an input error

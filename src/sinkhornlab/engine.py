@@ -200,12 +200,9 @@ def sinkhorn(
                     cur[i] = [x * fi for x in cur[i]]
                 left = [l * f for l, f in zip(left, factors)]
         except ZeroDivisionError:
-            # only float sums reach 0: a whole column or row underflowed
-            sums, name = (csums, "column") if side == "col" else (rsums, "row")
-            raise NonPositiveEntryError(
-                f"iteration left float range by step {step}: "
-                f"{name} {sums.index(0) + 1} sums to 0.0"
-            ) from None
+            # only float sums reach 0: a whole line underflowed, so _validated raises
+            _validated(cur, left, right, step)
+            raise
 
     limit, left_accum, right_accum = _validated(cur, left, right, step)
     return SinkhornResult(
@@ -226,6 +223,8 @@ def _validated(cur, left, right, step: int):
     float steps that are powers of two from 64 on, and once at the end:
     a zero or infinite entry never recovers, so a run that has one
     stops early with the same error it would reach at its budget.
+    It also names a zero margin: a float sum of positive entries is 0.0
+    only when every entry of its line underflowed.
     """
     try:
         return PositiveMatrix(cur), DiagonalScaling(left), DiagonalScaling(right)

@@ -13,12 +13,17 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from sinkhornlab import PositiveMatrix, cli, engine
 from sinkhornlab.cli import build_parser, main
+from sinkhornlab.closed_form import bordered_limit_triangular, limit_2x2_exact
+from sinkhornlab.numerics import format_rational
 
 F = Fraction
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((ROOT / "bench" / "golden" / "cli_golden.json").read_text())
 GOLDEN_CASES = GOLDEN["cases"] + GOLDEN["errors"]
+
+# 2,200 digits: its square is past the 4,300 digits that str() renders
+BIG = 10**2199 + 7
 
 
 def run(capsys, *argv):
@@ -118,6 +123,13 @@ class TestScale:
         assert code == 0
         assert "mode: exact" in out
 
+    @pytest.mark.parametrize("digits", [400, 5_000])
+    def test_huge_integer_literal_of_a_float_file_is_not_finite(self, capsys, tmp_path, digits):
+        # read as a float, as 1e400 is: int() refuses literals past 4,300 digits
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": [[1, %s], [1, 1]]}' % ("9" * digits))
+        assert run(capsys, "scale", str(path)) == (1, "", "error: entry (1,2) is not finite: inf\n")
+
     @pytest.mark.parametrize("depth", [1_000, 100_000])
     @pytest.mark.parametrize("argv", [("scale",), ("scale", "--exact"), ("classify",)])
     def test_deeply_nested_json_file_is_one_error_line(self, capsys, tmp_path, argv, depth):
@@ -171,6 +183,10 @@ class TestLimit:
         code, out, _ = run(capsys, "limit", "--bordered", "3", "2")
         assert code == 0
         assert "0.4384471871911697" in out
+        for n in ("3.5", "1e400"):
+            assert run(capsys, "limit", "--bordered", n, "2") == (
+                1, "", f"error: --bordered N must be an integer, got '{n}'\n"
+            )
 
     def test_exact_irrational(self, capsys):
         code, out, _ = run(capsys, "limit", "--exact", "1,2;3,4")
@@ -188,6 +204,39 @@ class TestLimit:
             '{\n  "command": "limit",\n  "family": "exact-2x2",\n  "rational": true,\n'
             '  "ratio": "4/9",\n  "alpha": "2/5",\n  "beta": "3/5"\n}\n'
         )
+
+    def test_exact_values_past_the_str_digit_limit(self, capsys):
+        irrational = f"{BIG},1;2,{BIG}"
+        ratio = format_rational(F(BIG * BIG, 2))
+        assert len(ratio) > 4300
+        assert run(capsys, "limit", "--exact", irrational) == (
+            0, f"irrational: ad/bc = {ratio} is not a rational square\n", ""
+        )
+        code, out, err = run(capsys, "limit", "--exact", irrational, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "command": "limit", "family": "exact-2x2", "rational": False,
+            "ratio": ratio, "alpha": None, "beta": None,
+        }
+        lim = limit_2x2_exact(F(BIG), F(1), F(4), F(BIG))
+        code, out, err = run(capsys, "limit", "--exact", f"{BIG},1;4,{BIG}", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ratio"] == format_rational(F(BIG * BIG, 4))
+        assert json.loads(out)["alpha"] == format_rational(lim.alpha)
+
+    def test_triangular_past_the_str_digit_limit(self, capsys):
+        lim = bordered_limit_triangular(BIG)
+        K = format_rational(lim.K)
+        assert len(K) > 4300
+        code, out, err = run(capsys, "limit", "--triangular", str(BIG))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"triangular family: k = {BIG}, K = {K}",
+            *(f"{name:<5} = {format_rational(getattr(lim, name))} (exact)" for name in ("alpha", "beta", "gamma")),
+        ]
+        code, out, err = run(capsys, "limit", "--triangular", str(BIG), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["K"] == K
 
     def test_symmetric(self, capsys):
         code, out, _ = run(capsys, "limit", "--symmetric", "1,2;2,4")
@@ -261,6 +310,15 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "1,2;3,4")
         assert code == 0
         assert "ad/bc = 2/3" in out
+
+    def test_closed_form_note_past_the_str_digit_limit(self, capsys):
+        ratio = format_rational(F(BIG * BIG, 2))
+        code, out, err = run(capsys, "classify", f"{BIG},1;2,{BIG}")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"\nclosed-form limit is irrational: ad/bc = {ratio} is not a rational square\n")
+        code, out, err = run(capsys, "classify", f"{BIG},1;2,{BIG}", "--both-orders", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["closed_form"] == {"ratio": ratio, "rational": False}
 
     def test_already_doubly_stochastic(self, capsys):
         code, out, _ = run(capsys, "classify", "1/2,1/2;1/2,1/2")
@@ -456,28 +514,14 @@ def test_limit_json_pins_cover_every_family():
 class TestParserReuse:
     """main() builds its parser once per process; no call may leak into the next."""
 
-    def test_main_builds_its_parser_once(self, capsys, monkeypatch, request):
-        builds = []
-
-        def counting_build_parser():
-            builds.append(1)
-            return build_parser()
-
-        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
-        cli._parser.cache_clear()
-        request.addfinalizer(cli._parser.cache_clear)
+    def test_main_builds_its_parser_once(self, capsys):
+        build_parser.cache_clear()
         argvs = [("scale", "1,3;3,4"), ("classify", "1,2;3,4", "--format", "json"),
                  ("limit", "--triangular", "3"), ("scale", "1,x;1,1")]
         for i in range(20):
             run(capsys, *argvs[i % len(argvs)])
-        assert len(builds) == 1
-
-    def test_build_parser_returns_a_new_parser(self, capsys):
-        changed = build_parser()
-        assert changed is not build_parser()
-        changed.add_argument("--extra", required=True)
-        case = golden_case("scale", "--exact", "1,12;3,4")
-        assert_golden(case, *run(capsys, *case["argv"]))
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
 
     def test_usage_error_then_valid_call(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -148,7 +148,8 @@ class TestApproximateIteration:
     @pytest.mark.parametrize(
         "rows,message",
         [
-            (((1e-300, 1e-300), (1e300, 1e300)), "by step 1: row 1 sums to 0.0"),
+            # row 1 sums to 0.0: its first entry is named, as for any other underflow
+            (((1e-300, 1e-300), (1e300, 1e300)), "by step 1: entry (1,1) is not positive: 0.0"),
             (((1e-300, 1e300), (1e300, 1e-300)), "by step 1: entry (1,1) is not positive: 0.0"),
             # (2,1) underflows at step 1 and never recovers: caught at the first check
             (((1e300, 1e-300), (1e-300, 1e-300)), "by step 64: entry (2,1) is not positive: 0.0"),
