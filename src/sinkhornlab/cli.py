@@ -57,7 +57,7 @@ from .engine import (
     sinkhorn,
 )
 from .matrices import MarginTarget, PositiveMatrix
-from .numerics import format_rational, parse_rational
+from .numerics import _echo, format_rational, parse_rational
 
 _ROW_BRACKETS = re.compile(r"\]\s*[,;]?\s*\[")
 
@@ -75,7 +75,7 @@ def _parse_scalar(text: str, exact: bool):
     try:
         return float(q)
     except OverflowError as exc:
-        raise CliError(f"number out of float range: {text!r}") from exc
+        raise CliError(f"number out of float range: {_echo(text)}") from exc
 
 
 def _parse_inline(text: str, exact: bool) -> PositiveMatrix:
@@ -83,7 +83,7 @@ def _parse_inline(text: str, exact: bool) -> PositiveMatrix:
     s = s.replace("[", "").replace("]", "")
     rows = [r for r in s.split(";") if r.strip()]
     if not rows:
-        raise CliError(f"empty matrix: {text!r}")
+        raise CliError(f"empty matrix: {_echo(text)}")
     return PositiveMatrix([[_parse_scalar(e, exact) for e in row.split(",")] for row in rows])
 
 
@@ -158,21 +158,6 @@ def _emit(fmt: str, obj: dict, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
-def _iteration_config(args, exact: bool) -> IterationConfig:
-    target = None
-    if getattr(args, "row_targets", None) is not None:
-        target = MarginTarget(
-            [_parse_scalar(x, exact) for x in args.row_targets.split(",")],
-            [_parse_scalar(x, exact) for x in args.col_targets.split(",")],
-        )
-    return IterationConfig(
-        start_side=StartSide(args.start_side),
-        max_steps=args.max_steps,
-        tolerance=args.tol,
-        margin_target=target,
-    )
-
-
 _STATUS_LINES = {
     Status.TERMINATED_FINITE: "terminated finitely, L = {}",
     Status.CONVERGED: "converged within tolerance after {} steps",
@@ -180,10 +165,22 @@ _STATUS_LINES = {
 }
 
 
-def cmd_scale(args) -> int:
-    """scale and rc-scale: rc-scale carries --row-targets/--col-targets."""
+def _run(args) -> int:
+    """scale, rc-scale and trace: one run of the iteration on the matrix;
+    rc-scale carries --row-targets/--col-targets."""
     A = read_matrix(args.matrix, args.exact)
-    res = sinkhorn(A, _iteration_config(args, A.exact))
+    target = None
+    if args.command == "rc-scale":
+        target = MarginTarget(
+            [_parse_scalar(x, A.exact) for x in args.row_targets.split(",")],
+            [_parse_scalar(x, A.exact) for x in args.col_targets.split(",")],
+        )
+    config = IterationConfig(start_side=StartSide(args.start_side), max_steps=args.max_steps,
+                             tolerance=args.tol, margin_target=target)
+    res = sinkhorn(A, config)
+    if args.command == "trace":
+        sys.stdout.write(trace_csv(res.trace))
+        return 0
     mode = "exact" if A.exact else "approximate"
     obj = {
         "command": args.command,
@@ -298,7 +295,7 @@ def cmd_limit(args) -> int:
         try:
             n = int(args.bordered[0])
         except ValueError:
-            raise CliError(f"--bordered N must be an integer, got {args.bordered[0]!r}") from None
+            raise CliError(f"--bordered N must be an integer, got {_echo(args.bordered[0])}") from None
         K = _parse_scalar(args.bordered[1], exact=False)
         obj = {"family": "bordered", **dataclasses.asdict(bordered_limit(n, K))}
         lines = [
@@ -379,13 +376,6 @@ def trace_csv(trace) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def cmd_trace(args) -> int:
-    A = read_matrix(args.matrix, args.exact)
-    res = sinkhorn(A, _iteration_config(args, A.exact))
-    sys.stdout.write(trace_csv(res.trace))
-    return 0
-
-
 def cmd_search(args) -> int:
     hits = finite_termination_search(
         args.n,
@@ -416,30 +406,27 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _add_matrix_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("matrix", help="inline matrix 'a,b;c,d' or path to a JSON file")
-
-
-def _add_start_side_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--start-side", choices=("column", "row"), default="column")
-
-
-def _add_iteration_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--exact", action="store_true", help="exact rational regime")
-    _add_start_side_flag(p)
-    budget = f"step budget (default {DEFAULT_MAX_STEPS_APPROX} approximate / {DEFAULT_MAX_STEPS_EXACT} exact)"
-    p.add_argument("--max-steps", type=int, default=None, help=budget)
-    p.add_argument("--tol", type=float, default=None, help="margin tolerance (approximate regime)")
-
-
-def _add_format_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("human", "json"), default="human")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once and reused, so callers must not change
     it: building one costs about 30 times as much as a parse."""
+    def parent(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=parents)
+
+    # each shared flag is declared once, in a parent its subcommands list
+    side = parent()
+    side.add_argument("--start-side", choices=[s.value for s in StartSide], default="column")
+    matrix = parent(side)
+    matrix.add_argument("matrix", help="inline matrix 'a,b;c,d' or path to a JSON file")
+    regime = parent()
+    regime.add_argument("--exact", action="store_true", help="exact rational regime")
+    regime.add_argument("--tol", type=float, default=None, help="margin tolerance (approximate regime)")
+    run = parent(regime)
+    budget = f"step budget (default {DEFAULT_MAX_STEPS_APPROX} approximate / {DEFAULT_MAX_STEPS_EXACT} exact)"
+    run.add_argument("--max-steps", type=int, default=None, help=budget)
+    fmt = parent()
+    fmt.add_argument("--format", choices=("human", "json"), default="human")
+
     parser = argparse.ArgumentParser(
         prog="sinkhornlab",
         description="Alternating row/column scaling of positive matrices: "
@@ -447,50 +434,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scale", help="run the scaling iteration")
-    _add_matrix_arg(p)
-    _add_iteration_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(func=cmd_scale)
+    sub.add_parser("scale", parents=[matrix, run, fmt], help="run the scaling iteration").set_defaults(func=_run)
 
-    p = sub.add_parser("rc-scale", help="scaling toward margin targets r and c")
-    _add_matrix_arg(p)
+    p = sub.add_parser("rc-scale", parents=[matrix, run, fmt], help="scaling toward margin targets r and c")
     p.add_argument("--row-targets", required=True, help="comma-separated row sums r")
     p.add_argument("--col-targets", required=True, help="comma-separated column sums c")
-    _add_iteration_flags(p)
-    _add_format_flag(p)
-    p.set_defaults(func=cmd_scale)
+    p.set_defaults(func=_run)
 
-    p = sub.add_parser("limit", help="evaluate a closed-form limit")
+    p = sub.add_parser("limit", parents=[fmt], help="evaluate a closed-form limit")
     p.add_argument("matrix", nargs="?", default=None)
     p.add_argument("--exact", action="store_true", help="exact rational 2x2 limit or irrationality witness")
     p.add_argument("--symmetric", action="store_true", help="symmetric 2x2 form with a single scaler D")
     p.add_argument("--bordered", nargs=2, metavar=("N", "K"), default=None, help="bordered n x n family")
     p.add_argument("--triangular", type=int, metavar="k", default=None, help="exact rational bordered family, K = k(k+1)/2")
-    _add_format_flag(p)
     p.set_defaults(func=cmd_limit)
 
-    p = sub.add_parser("classify", help="exact 2x2 termination verdict")
-    _add_matrix_arg(p)
-    _add_start_side_flag(p)
+    p = sub.add_parser("classify", parents=[matrix, fmt], help="exact 2x2 termination verdict")
     p.add_argument("--both-orders", action="store_true", help="classify under both start orders")
-    _add_format_flag(p)
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("trace", help="per-step margin-error CSV on stdout")
-    _add_matrix_arg(p)
-    p.add_argument("--exact", action="store_true")
-    _add_start_side_flag(p)
+    p = sub.add_parser("trace", parents=[matrix, regime], help="per-step margin-error CSV on stdout")
     p.add_argument("--steps", dest="max_steps", metavar="STEPS", type=int, default=None, help="step budget")
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_trace)
+    p.set_defaults(func=_run)
 
-    p = sub.add_parser("search", help="catalog finite-termination integer matrices")
+    p = sub.add_parser("search", parents=[side, fmt], help="catalog finite-termination integer matrices")
     p.add_argument("--n", type=int, required=True, help="matrix size (n >= 2)")
     p.add_argument("--bound", type=int, required=True, help="largest integer entry")
-    _add_start_side_flag(p)
     p.add_argument("--candidate-cap", type=int, default=DEFAULT_SEARCH_CANDIDATE_CAP, help="refuse enumerations larger than this")
-    _add_format_flag(p)
     p.set_defaults(func=cmd_search)
 
     return parser

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import DiagonalScaling, PositiveMatrix, Scalar
-from .numerics import rational_sqrt
+from .numerics import _echo, rational_sqrt
 
 
 def _require_positive(**named) -> None:
@@ -201,16 +201,21 @@ def bordered_limit(n: int, K: float) -> BorderedLimit:
         raise ValueError(f"bordered limit needs n >= 3, got {n}")
     if K <= 0:
         raise ValueError(f"corner entry must be positive, got {K}")
-    if K == 1:
-        third = 1.0 / n
-        return BorderedLimit(
-            n=n, K=K, alpha=third, beta=third, gamma=third,
-            x1=math.sqrt(third), x2=math.sqrt(third),
-        )
-    disc = 4.0 * (n - 1) * K + (n - 2) ** 2
-    alpha = 2.0 * K / (2.0 * K + n - 2 + math.sqrt(disc))
-    beta = (1 - alpha) / (n - 1)
-    gamma = (n - 2 + alpha) / (n - 1) ** 2
+    try:
+        if K == 1:
+            third = 1.0 / n
+            return BorderedLimit(
+                n=n, K=K, alpha=third, beta=third, gamma=third,
+                x1=math.sqrt(third), x2=math.sqrt(third),
+            )
+        disc = 4.0 * (n - 1) * K + (n - 2) ** 2
+        alpha = 2.0 * K / (2.0 * K + n - 2 + math.sqrt(disc))
+        beta = (1 - alpha) / (n - 1)
+        gamma = (n - 2 + alpha) / (n - 1) ** 2
+    except OverflowError:  # an int n, or its square, past float range
+        raise FloatRangeError(
+            f"bordered limit of n, K = ({_echo(n)}, {K!r}) leaves float range: n is too large"
+        ) from None
     x1, x2 = math.sqrt(alpha / K), math.sqrt(gamma)
     _require_float_range(
         "bordered limit of n, K", (n, K), alpha=alpha, beta=beta, gamma=gamma, x1=x1, x2=x2

@@ -13,14 +13,13 @@ is safe to share across threads and to use as a dict or cache key.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import inf
 from typing import Iterable, Union
 
-from .numerics import format_rational, parse_rational
+from .numerics import _echo, format_rational, parse_rational
 
 Scalar = Union[float, Fraction]
 
@@ -175,13 +174,6 @@ class PositiveMatrix:
                     raise ValueError(f"matrix entry is not a number: {_echo(x)}")
             parsed.append(out)
         return cls(parsed)
-
-
-def _echo(x) -> str:
-    """x's repr for an error line, cut to 60 characters; reprlib abbreviates
-    long and deeply nested containers without recursing through them."""
-    text = reprlib.repr(x)
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 @dataclass(frozen=True, slots=True)

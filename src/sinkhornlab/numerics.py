@@ -7,6 +7,9 @@ arbitrary precision, always reduced, and carry a positive denominator.
 
 from __future__ import annotations
 
+import re
+import reprlib
+import sys
 from fractions import Fraction
 from math import isqrt
 
@@ -32,16 +35,40 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
+def _echo(x) -> str:
+    """x's repr for an error line, cut to 60 characters. A string's full
+    repr is cut, since reprlib would elide the middle of any string past 30
+    characters; reprlib abbreviates long and deeply nested containers
+    without recursing through them."""
+    text = repr(x) if isinstance(x, str) else reprlib.repr(x)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+#: the decimal exponent at the end of a token, as Fraction reads it
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q', integer, or decimal text into an exact Fraction.
 
     Decimal strings expand exactly ('0.25' -> 1/4); a binary float never
-    enters the conversion.
+    enters the conversion. Fraction builds 10**exp in full, so an exponent
+    of more than the interpreter's int-to-str digit limit (4,300 by
+    default) is refused before any power is built.
     """
+    stripped = text.strip()
+    exponent = _EXPONENT.search(stripped)
+    limit = sys.get_int_max_str_digits()
+    # an exponent of more than `limit` digits is left to Fraction, whose
+    # int() refuses it at once
+    if exponent and limit:
+        digits = exponent[1].replace("_", "")
+        if len(digits) <= limit and int(digits) > limit:
+            raise ValueError(f"exponent beyond {limit} in magnitude: {_echo(text)}")
     try:
-        return Fraction(text.strip())
+        return Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+        raise ValueError(f"not a rational number: {_echo(text)}") from exc
 
 
 #: digits per chunk when converting a long integer; the interpreter's

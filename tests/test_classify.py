@@ -25,6 +25,7 @@ from sinkhornlab import (
     sinkhorn,
     termination_length_2x2,
 )
+from sinkhornlab import classify
 
 from .reference import classify_2x2_reference
 from .strategies import exact_matrices_2x2, positive_fractions
@@ -122,6 +123,12 @@ class TestVerdicts:
 
 
 class TestSoundness:
+    def test_disagreement_with_the_engine_is_an_error(self, monkeypatch):
+        # the classifier cross-checks every verdict against the engine's length
+        monkeypatch.setattr(classify, "termination_length_2x2", lambda A, side, max_steps: 2)
+        with pytest.raises(RuntimeError, match=r"^classifier/engine disagreement on .*: classified L=1, engine L=2$"):
+            classify_2x2(M((1, 12), (3, 4)), StartSide.COLUMN_FIRST)
+
     @given(exact_matrices_2x2(), st.sampled_from(list(StartSide)))
     @settings(max_examples=200, deadline=None)
     def test_finite_verdicts_match_the_engine_exactly(self, A, side):

@@ -74,6 +74,14 @@ class TestScale:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("token,matrix,message", [
+        ("x" * 3001, "{},1;1,1", "not a rational number"),
+        ("1" + "0" * 400, "{},1;1,1", "number out of float range"),
+        (";" * 3001, "{}", "empty matrix"),
+    ], ids=["not-a-number", "out-of-float-range", "empty"])
+    def test_long_token_is_echoed_clipped(self, capsys, token, matrix, message):
+        assert run(capsys, "scale", matrix.format(token)) == (1, "", f"error: {message}: {token!r:.57}...\n")
+
     def test_budget_exhaustion_exits_two(self, capsys):
         code, out, _ = run(capsys, "scale", "1,3;3,4", "--max-steps", "3", "--tol", "1e-15")
         assert code == 2
@@ -187,6 +195,24 @@ class TestLimit:
             assert run(capsys, "limit", "--bordered", n, "2") == (
                 1, "", f"error: --bordered N must be an integer, got '{n}'\n"
             )
+
+    @pytest.mark.parametrize("digits", [200, 400])
+    def test_bordered_n_past_float_range_exits_one(self, capsys, digits):
+        code, out, err = run(capsys, "limit", "--bordered", "1" + "0" * digits, "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bordered limit of n, K = (1000") and err.endswith("leaves float range: n is too large\n")
+        assert err.count("\n") == 1 and len(err) < 150
+
+    def test_bordered_n_of_a_hundred_and_one_digits_prints(self, capsys):
+        code, out, err = run(capsys, "limit", "--bordered", "1" + "0" * 100, "2")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"bordered family: n = 1{'0' * 100}, K = 2.0\nalpha = 2e-100\n")
+
+    def test_bordered_n_past_the_digit_limit_is_echoed_clipped(self, capsys):
+        # int() refuses more than 4,300 digits
+        assert run(capsys, "limit", "--bordered", "1" + "0" * 5000, "2") == (
+            1, "", "error: --bordered N must be an integer, got '1" + "0" * 55 + "...\n"
+        )
 
     def test_exact_irrational(self, capsys):
         code, out, _ = run(capsys, "limit", "--exact", "1,2;3,4")
@@ -466,6 +492,34 @@ def test_closed_stdout_exits_141_quietly(argv):
     assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, b"")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scale", "1e10000000,1;1,1"],
+        ["scale", "--exact", "1e-10000000,1;1,1", "--max-steps", "1"],
+        ["scale", "--exact", "MATRIX_FILE", "--max-steps", "1"],
+        ["rc-scale", "1,1;1,1", "--row-targets", "1e10000000,1", "--col-targets", "1,1"],
+        ["rc-scale", "--exact", "1,1;1,1", "--row-targets", "1,1", "--col-targets", "1,1e-10000000"],
+        ["limit", "--bordered", "3", "1e10000000"],
+        ["limit", "--bordered", "1" + "0" * 200, "2"],
+        ["limit", "--bordered", "1" + "0" * 400, "1"],
+    ],
+)
+def test_huge_numbers_exit_one_at_once(argv, tmp_path):
+    """Each number-reading path refuses an exponent past the digit limit
+    before Fraction builds the power (13.6 s at 1e10000000), and --bordered
+    refuses an N past float range: one error line, within the timeout."""
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": [["1e10000000", "1"], ["1", "1"]]}')
+    argv = [str(path) if arg == "MATRIX_FILE" else arg for arg in argv]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sinkhornlab", *argv], capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 def assert_golden(case, code, out, err):
     """A case stored without output must fail cleanly: exit 1 and one error line."""
     if case["stdout"] is None:
@@ -541,6 +595,56 @@ class TestParserReuse:
         monkeypatch.chdir(ROOT)
         for case in reversed(GOLDEN_CASES):
             assert_golden(case, *run(capsys, *case["argv"]))
+
+
+def _option(flags, dest, default=None, type=None, choices=None, nargs=None, required=False, metavar=None):
+    return {"flags": flags, "dest": dest, "default": default, "type": type,
+            "choices": choices, "nargs": nargs, "required": required, "metavar": metavar}
+
+
+MATRIX = _option((), "matrix", required=True)
+EXACT = _option(("--exact",), "exact", default=False, nargs=0)
+START_SIDE = _option(("--start-side",), "start_side", default="column", choices=("column", "row"))
+TOL = _option(("--tol",), "tol", type=float)
+FORMAT = _option(("--format",), "format", default="human", choices=("human", "json"))
+RUN = [MATRIX, EXACT, START_SIDE, _option(("--max-steps",), "max_steps", type=int), TOL, FORMAT]
+OPTIONS = {
+    "scale": RUN,
+    "rc-scale": RUN + [_option(("--row-targets",), "row_targets", required=True),
+                      _option(("--col-targets",), "col_targets", required=True)],
+    "limit": [_option((), "matrix", nargs="?"), EXACT, _option(("--symmetric",), "symmetric", default=False, nargs=0),
+              _option(("--bordered",), "bordered", nargs=2, metavar=("N", "K")),
+              _option(("--triangular",), "triangular", type=int, metavar="k"), FORMAT],
+    "classify": [MATRIX, START_SIDE, _option(("--both-orders",), "both_orders", default=False, nargs=0), FORMAT],
+    "trace": [MATRIX, EXACT, START_SIDE, _option(("--steps",), "max_steps", type=int, metavar="STEPS"), TOL],
+    "search": [_option(("--n",), "n", type=int, required=True), _option(("--bound",), "bound", type=int, required=True),
+               START_SIDE, _option(("--candidate-cap",), "candidate_cap", default=engine.DEFAULT_SEARCH_CANDIDATE_CAP, type=int),
+               FORMAT],
+}
+
+
+def _options_of(parser):
+    """Each argument's parse-relevant settings, keyed by its flags (or dest)."""
+    out = {}
+    for action in parser._actions:
+        if action.dest == "help":
+            continue
+        choices = tuple(action.choices) if action.choices is not None else None
+        out[action.option_strings[0] if action.option_strings else action.dest] = _option(
+            tuple(action.option_strings), action.dest, action.default, action.type, choices,
+            action.nargs, action.required, action.metavar,
+        )
+    return out
+
+
+def test_each_subcommand_takes_the_pinned_options():
+    """Every subcommand's arguments, in any declaration order: the flags,
+    dest, default, type, choices, nargs, required and metavar of each."""
+    sub = build_parser()._subparsers._group_actions[0]
+    assert sorted(sub.choices) == sorted(OPTIONS)
+    for name, options in OPTIONS.items():
+        expected = {o["flags"][0] if o["flags"] else o["dest"]: o for o in options}
+        assert _options_of(sub.choices[name]) == expected, name
 
 
 def mostly(valid, invalid):

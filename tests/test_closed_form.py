@@ -189,6 +189,17 @@ class TestBordered:
         lim = bordered_limit(3, 1.0)
         assert lim.alpha == lim.beta == lim.gamma == pytest.approx(1 / 3, abs=1e-15)
 
+    @pytest.mark.parametrize("n,K", [(10**200, 2.0), (10**400, 2.0), (10**400, 1.0)])
+    def test_n_past_float_range_raises_a_float_range_error(self, n, K):
+        # (n - 2)**2, and at 10**400 n itself, is an int too large for a float
+        message = rf"^bordered limit of n, K = \(1000\d*\.\.\.0000\d*, {K}\) leaves float range: n is too large$"
+        with pytest.raises(FloatRangeError, match=message):
+            bordered_limit(n, K)
+
+    def test_n_of_a_hundred_and_one_digits_is_in_range(self):
+        lim = bordered_limit(10**100, 2.0)
+        assert (lim.alpha, lim.beta, lim.gamma) == pytest.approx((2e-100, 1e-100, 1e-100), rel=1e-12)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             bordered_limit(2, 5.0)

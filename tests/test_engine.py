@@ -433,6 +433,10 @@ class TestTerminationLength2x2:
         assert termination_length_2x2(M((2, 6), (5, 15)), StartSide.ROW_FIRST) == 2
         assert termination_length_2x2(M(*A_SLOW), max_steps=64) is None
 
+    def test_zero_budget_decides_only_step_zero(self):
+        assert termination_length_2x2(M((F(2, 5), F(3, 5)), (F(3, 5), F(2, 5))), max_steps=0) == 0
+        assert termination_length_2x2(M((1, 12), (3, 4)), max_steps=0) is None
+
     @given(exact_matrices_2x2(), st.sampled_from(list(StartSide)))
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_general_engine(self, A, side):
@@ -654,6 +658,12 @@ class TestSearch:
     def test_candidate_cap(self):
         with pytest.raises(ValueError):
             finite_termination_search(3, 10, candidate_cap=1000)
+
+    def test_rejects_size_below_two_and_bound_below_one(self):
+        with pytest.raises(ValueError, match=r"^search needs n >= 2, got 1$"):
+            finite_termination_search(1, 2)
+        with pytest.raises(ValueError, match=r"^search needs bound >= 1, got 0$"):
+            finite_termination_search(2, 0)
 
     @pytest.mark.parametrize("n", [100, 10_000])
     def test_candidate_cap_never_builds_the_count(self, n):

@@ -302,6 +302,14 @@ class TestScalings:
         with pytest.raises(DimensionError):
             row_scaling(M((1, 2), (3, 4)), MarginTarget((1, 1, 2), (2, 2)))
 
+    def test_target_regime_mismatch(self):
+        with pytest.raises(RegimeError, match="matrix and margin target are in different regimes"):
+            row_scaling(M((1, 2), (3, 4)), MarginTarget((1.0, 1.0), (1.0, 1.0)))
+
+    def test_empty_diagonal(self):
+        with pytest.raises(DimensionError, match="diagonal needs at least one coordinate"):
+            DiagonalScaling(())
+
 
 class TestApply:
     def test_apply_left_reproduces_second_iterate(self):
@@ -330,6 +338,8 @@ class TestApply:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             apply_left(DiagonalScaling((1, 2, 3)), M((1, 2), (3, 4)))
+        with pytest.raises(DimensionError, match="diagonal of size 3 cannot scale 2 columns"):
+            apply_right(M((1, 2), (3, 4)), DiagonalScaling((1, 2, 3)))
 
     def test_regime_mismatch(self):
         with pytest.raises(RegimeError):
@@ -436,6 +446,10 @@ class TestMarginTarget:
         t = MarginTarget((1, 1), (1, 1))
         assert t.row_targets == (1, 1) and t.exact
 
+    def test_rejects_targets_in_two_regimes(self):
+        with pytest.raises(RegimeError, match="row and column targets are in different regimes"):
+            MarginTarget((1.0, 1.0), (1, 1))
+
 
 class TestJson:
     def test_exact_round_trip(self):
@@ -463,6 +477,11 @@ class TestJson:
     def test_missing_rows_field_rejected(self):
         with pytest.raises(ValueError):
             PositiveMatrix.from_json_obj(json.loads('[[1, 2], [3, 4]]'))
+
+    @pytest.mark.parametrize("rows", [[1, 2], [[1, 2], 3], "1,2;3,4"])
+    def test_rows_that_are_not_arrays_of_arrays_rejected(self, rows):
+        with pytest.raises(ValueError, match='"rows" must be an array of arrays'):
+            PositiveMatrix.from_json_obj({"rows": rows})
 
     @pytest.mark.parametrize("depth", [1, 1_000, 100_000])
     def test_non_number_entry_is_echoed_in_a_short_line(self, depth):

@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -79,6 +80,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_rational("one half")
 
+    def test_parse_rejection_clips_its_echo(self):
+        with pytest.raises(ValueError, match=r"^not a rational number: 'x{56}\.\.\.$"):
+            parse_rational("x" * 3001)
+        with pytest.raises(ValueError, match=r"^not a rational number: ' x'$"):
+            parse_rational(" x")
+
     @given(st.fractions())
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
@@ -97,6 +104,38 @@ class TestSerialization:
         )
         assert format_rational(Fraction(10**1000, 3)) == "1" + "0" * 1000 + "/3"
         assert sys.get_int_max_str_digits() == limit
+
+
+class TestExponentLimit:
+    """Fraction builds 10**exp in full: parse_rational refuses an exponent
+    past the interpreter's int-to-str digit limit before building it."""
+
+    def test_exponents_up_to_the_limit_parse(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational(f"1e{limit}") == 10**limit
+        assert parse_rational(f"2.5E-{limit}") == Fraction(5, 2 * 10**limit)
+        assert parse_rational("1e0_1") == 10  # underscores as Fraction reads them
+
+    # Fraction('1e10000000') alone takes over 10 s
+    @pytest.mark.parametrize("exponent", ["+4301", "-4301", "10000000", "-10000000", "1_000_000", "000010000000"])
+    def test_larger_exponents_are_refused_at_once(self, exponent):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^exponent beyond 4300 in magnitude: '1e"):
+            parse_rational(f"1e{exponent}")
+        assert time.perf_counter() - start < 1
+
+    def test_an_exponent_longer_than_the_limit_is_not_a_number(self):
+        # int() refuses the digits before any power is built
+        with pytest.raises(ValueError, match=r"^not a rational number: '1e000"):
+            parse_rational("1e" + "0" * 5000 + "1")
+
+    def test_follows_the_interpreter_limit(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 5000)
+        assert parse_rational("1e-5000") == Fraction(1, 10**5000)
+        with pytest.raises(ValueError, match=r"^exponent beyond 5000 in magnitude: "):
+            parse_rational("1e5001")
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
+        assert parse_rational("1e5001") == 10**5001
 
 
 def test_perfect_square_edge_cases():
