@@ -165,23 +165,25 @@ _STATUS_LINES = {
 }
 
 
-def _run(args) -> int:
-    """scale, rc-scale and trace: one run of the iteration on the matrix;
-    rc-scale carries --row-targets/--col-targets."""
+def _iterate(args):
+    """Read the matrix and run the iteration on it, toward rc-scale's
+    --row-targets/--col-targets when the command has them."""
     A = read_matrix(args.matrix, args.exact)
     target = None
-    if args.command == "rc-scale":
+    if getattr(args, "row_targets", None) is not None:
         target = MarginTarget(
             [_parse_scalar(x, A.exact) for x in args.row_targets.split(",")],
             [_parse_scalar(x, A.exact) for x in args.col_targets.split(",")],
         )
     config = IterationConfig(start_side=StartSide(args.start_side), max_steps=args.max_steps,
                              tolerance=args.tol, margin_target=target)
-    res = sinkhorn(A, config)
-    if args.command == "trace":
-        sys.stdout.write(trace_csv(res.trace))
-        return 0
-    mode = "exact" if A.exact else "approximate"
+    return sinkhorn(A, config)
+
+
+def cmd_scale(args) -> int:
+    """scale and rc-scale: the result's status, limit and scalings."""
+    res = _iterate(args)
+    mode = "exact" if res.limit.exact else "approximate"
     obj = {
         "command": args.command,
         "mode": mode,
@@ -195,6 +197,11 @@ def _run(args) -> int:
     lines += _limit_lines(obj["limit"]) + _scaling_lines(obj)
     _emit(args.format, obj, lines)
     return 0 if res.status in (Status.TERMINATED_FINITE, Status.CONVERGED) else 2
+
+
+def cmd_trace(args) -> int:
+    sys.stdout.write(trace_csv(_iterate(args).trace))
+    return 0
 
 
 def _verdict_lines(v: dict) -> list[str]:
@@ -434,12 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("scale", parents=[matrix, run, fmt], help="run the scaling iteration").set_defaults(func=_run)
+    sub.add_parser("scale", parents=[matrix, run, fmt], help="run the scaling iteration").set_defaults(func=cmd_scale)
 
     p = sub.add_parser("rc-scale", parents=[matrix, run, fmt], help="scaling toward margin targets r and c")
     p.add_argument("--row-targets", required=True, help="comma-separated row sums r")
     p.add_argument("--col-targets", required=True, help="comma-separated column sums c")
-    p.set_defaults(func=_run)
+    p.set_defaults(func=cmd_scale)
 
     p = sub.add_parser("limit", parents=[fmt], help="evaluate a closed-form limit")
     p.add_argument("matrix", nargs="?", default=None)
@@ -455,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", parents=[matrix, regime], help="per-step margin-error CSV on stdout")
     p.add_argument("--steps", dest="max_steps", metavar="STEPS", type=int, default=None, help="step budget")
-    p.set_defaults(func=_run)
+    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("search", parents=[side, fmt], help="catalog finite-termination integer matrices")
     p.add_argument("--n", type=int, required=True, help="matrix size (n >= 2)")

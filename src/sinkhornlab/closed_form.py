@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import DiagonalScaling, PositiveMatrix, Scalar
-from .numerics import _echo, rational_sqrt
+from .numerics import rational_sqrt
 
 
 def _require_positive(**named) -> None:
@@ -212,9 +212,11 @@ def bordered_limit(n: int, K: float) -> BorderedLimit:
         alpha = 2.0 * K / (2.0 * K + n - 2 + math.sqrt(disc))
         beta = (1 - alpha) / (n - 1)
         gamma = (n - 2 + alpha) / (n - 1) ** 2
-    except OverflowError:  # an int n, or its square, past float range
+    except OverflowError:  # n, or its square, past float range
+        # n's bit length, since an int past the int-to-str limit has no repr
+        floor = int(n).bit_length() - 1
         raise FloatRangeError(
-            f"bordered limit of n, K = ({_echo(n)}, {K!r}) leaves float range: n is too large"
+            f"bordered limit of n >= 2**{floor}, K = {K!r} leaves float range: n is too large"
         ) from None
     x1, x2 = math.sqrt(alpha / K), math.sqrt(gamma)
     _require_float_range(

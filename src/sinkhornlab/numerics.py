@@ -44,8 +44,10 @@ def _echo(x) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+#: underscores between an exponent's digits, which Fraction reads from 3.11 on
+_UNDERSCORES = r"(?:_\d+)*" if sys.version_info >= (3, 11) else ""
 #: the decimal exponent at the end of a token, as Fraction reads it
-_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
+_EXPONENT = re.compile(rf"[eE][-+]?(\d+{_UNDERSCORES})\Z")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -189,10 +189,15 @@ class TestBordered:
         lim = bordered_limit(3, 1.0)
         assert lim.alpha == lim.beta == lim.gamma == pytest.approx(1 / 3, abs=1e-15)
 
-    @pytest.mark.parametrize("n,K", [(10**200, 2.0), (10**400, 2.0), (10**400, 1.0)])
-    def test_n_past_float_range_raises_a_float_range_error(self, n, K):
-        # (n - 2)**2, and at 10**400 n itself, is an int too large for a float
-        message = rf"^bordered limit of n, K = \(1000\d*\.\.\.0000\d*, {K}\) leaves float range: n is too large$"
+    @pytest.mark.parametrize("n,K,floor", [
+        (10**200, 2.0, 664), (10**400, 2.0, 1328), (10**400, 1.0, 1328),
+        (10**5000, 2.0, 16609),  # past the int-to-str limit: n has no repr
+        (1e200, 2.0, 664),
+    ], ids=["1e200-int", "1e400-int", "1e400-int-flat", "1e5000-int", "1e200-float"])
+    def test_n_past_float_range_raises_a_float_range_error(self, n, K, floor):
+        # (n - 2)**2, and at 10**400 n itself, is too large for a float
+        assert 2**floor <= n < 2 ** (floor + 1)
+        message = rf"^bordered limit of n >= 2\*\*{floor}, K = {K} leaves float range: n is too large$"
         with pytest.raises(FloatRangeError, match=message):
             bordered_limit(n, K)
 
