@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import DiagonalScaling, PositiveMatrix, Scalar
-from .numerics import rational_sqrt
+from .numerics import _echo, rational_sqrt
 
 
 def _require_positive(**named) -> None:
@@ -39,10 +39,12 @@ class FloatRangeError(ValueError):
 
 
 def _require_float_range(what: str, args: tuple, **named: float) -> None:
-    """Raise FloatRangeError unless every named value is positive and finite."""
+    """Raise FloatRangeError unless every named value is positive and
+    finite. The message echoes each argument clipped, through _echo."""
     for name, v in named.items():
         if not 0 < v < math.inf:
-            raise FloatRangeError(f"{what} = {args} leaves float range: {name} = {v!r}")
+            shown = ", ".join(map(_echo, args))
+            raise FloatRangeError(f"{what} = ({shown}) leaves float range: {name} = {v!r}")
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ class Status(enum.Enum):
     TERMINATED_FINITE = "terminated-finite"
     #: approximate regime: all margins within tolerance
     CONVERGED = "converged-within-tolerance"
-    #: step budget (or entry-size cap) exhausted first
+    #: step budget exhausted first
     MAX_STEPS_REACHED = "max-steps-reached"
 
 
@@ -115,19 +115,33 @@ def sinkhorn(
     cfg: IterationConfig | None = None,
     *,
     capture_matrices: bool = False,
-    entry_bits_cap: int | None = None,
 ) -> SinkhornResult:
     """Run the alternating scaling iteration on A.
 
-    Stops at the first step whose iterate meets every margin (exactly in
-    the exact regime, within cfg.tolerance otherwise), else after
-    cfg.max_steps scalings. Margins default to all ones; set
+    The loop has two exits: the first step whose iterate meets every
+    margin (exactly in the exact regime, TERMINATED_FINITE; within
+    cfg.tolerance otherwise, CONVERGED), and cfg.max_steps scalings
+    (MAX_STEPS_REACHED). Margins default to all ones; set
     cfg.margin_target for (r, c) scaling. The accumulated left/right
     diagonals satisfy left @ A @ right == limit (exactly for Fraction
     entries, to rounding for floats).
 
-    entry_bits_cap, when set, aborts an exact run whose entries exceed
-    that bit size, reporting MAX_STEPS_REACHED.
+    An exact run that terminates does so by step 2, for any targets
+    (r, c) and any shape: one that has not by then never does. Proof:
+    let the run first meet its margins at step L >= 3, with iterate S,
+    and say step L scales columns (a row step is the transpose, with r
+    and c swapped). The iterate before it has row sums r and equals
+    S diag(s), where s > 0 holds its column sums divided by c; so
+    S s = r = S 1, and k = s - 1 lies in ker S with 1 + k > 0. k != 0,
+    since s = 1 would make that iterate S. Step L - 2 >= 1 scaled
+    columns too, so diag(rho) S diag(s) has column sums c for some
+    rho > 0, that is S^T rho = c / s entrywise. Both c = S^T 1 and c / s
+    then lie in range(S^T), which is orthogonal to ker S:
+    sum(c_j k_j) = 0 and sum(c_j k_j / (1 + k_j)) = 0. Their difference
+    is sum(c_j k_j**2 / (1 + k_j)) = 0, and every c_j > 0 and
+    1 + k_j > 0, so k = 0, a contradiction. So L <= 2, and the same
+    argument at L = 2 (k in ker S, k != 0) shows that the columns of S
+    are linearly dependent: a square S is singular.
 
     An exact run computes on reduced integer pairs, not Fractions (see
     _exact_sinkhorn); its records, limit and diagonals are the Fractions
@@ -152,9 +166,7 @@ def sinkhorn(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if A.exact:
-        return _exact_sinkhorn(
-            A, cfg.start_side, max_steps, r_t, c_t, capture_matrices, entry_bits_cap
-        )
+        return _exact_sinkhorn(A, cfg.start_side, max_steps, r_t, c_t, capture_matrices)
 
     m, n = A.rows, A.cols
     cur = [list(row) for row in A.entries]
@@ -237,7 +249,7 @@ def _validated(cur, left, right, step: int):
 _OTHER_SIDE = {"row": "col", "col": "row"}
 
 
-def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices, entry_bits_cap):
+def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices):
     """sinkhorn's exact regime. Entries, margins, targets and step factors
     are (numerator, denominator) pairs of ints in lowest terms, reduced
     with math.gcd after each sum and product as Fraction reduces them, so
@@ -287,7 +299,7 @@ def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices, entry_
         if not row_gap[0] and not col_gap[0]:
             status = Status.TERMINATED_FINITE
             break
-        if step == max_steps or (entry_bits_cap is not None and bits > entry_bits_cap):
+        if step == max_steps:
             status = Status.MAX_STEPS_REACHED
             break
         factors = [_product(t, s[::-1]) for t, s in zip(targets[side], sums)]
@@ -464,20 +476,9 @@ def finite_termination_search(
     matrices, or the n! permutation orders that the walk applies to each
     form would; neither count is built in full to be compared.
 
-    A terminating unit-margin run has terminated by step 2. Proof: let a
-    positive A first reach a doubly stochastic iterate S at step L >= 3,
-    and say step L scales columns (a row step is the transpose). The
-    iterate before it is row stochastic and equals S diag(s), where
-    s > 0 holds its column sums; so S s = 1 = S 1, and k = s - 1 lies in
-    ker S with 1 + k > 0. k != 0, since s = 1 would make that iterate S.
-    Step L - 2 >= 1 scaled columns too,
-    so diag(rho) S diag(s) is column stochastic for some rho, that is
-    S^T rho = 1/s entrywise. Both 1 = S^T 1 and 1/s then lie in
-    range(S^T), which is orthogonal to ker S: sum(k_j) = 0 and
-    sum(k_j / (1 + k_j)) = 0. Their difference is
-    sum(k_j**2 / (1 + k_j)) = 0, which forces k = 0, a contradiction.
-    So L <= 2, and the same argument at L = 2 (k in ker S, k != 0)
-    shows that S is singular.
+    A terminating run has terminated by step 2, and one that first
+    terminates at step 2 ends on a singular limit (the proof in
+    sinkhorn's docstring, with unit margins r = c = 1).
 
     So whether a form terminates, and at which step, is an integer
     identity on its entries: _two_step_length decides every form before
@@ -512,7 +513,7 @@ def finite_termination_search(
         )
     if any(f > candidate_cap for f in itertools.accumulate(range(1, n + 1), mul)):
         raise ValueError(f"the {n}! permutation orders exceed the cap of {candidate_cap}")
-    # no run first terminates after step 2 (the proof above)
+    # no run first terminates after step 2 (the proof in sinkhorn's docstring)
     cfg = IterationConfig(start_side=start_side, max_steps=2)
     # one getter per order permutes a row's entries, or a matrix's rows
     orders = [itemgetter(*p) for p in itertools.permutations(range(n))]
@@ -561,7 +562,7 @@ def _two_step_length(rows, start_side: StartSide):
     with sum C * sum_i a_ij * (Q / P_i) / (c_j * Q), so L = 2 iff that is
     1 for every j. L = 0 cannot occur, since each row sums to at least
     n, and a run that has not terminated by step 2 never does (the
-    two-step proof in finite_termination_search). A row-first run is
+    two-step proof in sinkhorn's docstring). A row-first run is
     the transposed column-first run.
     """
     cols = list(zip(*rows))

@@ -67,12 +67,16 @@ def exact_sinkhorn_reference(
     start_side: StartSide,
     max_steps: int,
     target: MarginTarget | None = None,
+    bits_cap: int | None = None,
 ):
     """The exact alternating scaling loop, both margins recomputed every step.
 
     Returns (records, terminated, steps, limit, left, right). A record is
     (step, side, max_row_err, max_col_err, max_entry_bits), as in the
     engine's trace; limit is a list of rows, left and right are lists.
+    bits_cap, when set, also stops the loop at the first record whose
+    max_entry_bits exceeds it, which bounds a long non-terminating run
+    as no step budget does.
     """
     m, n = A.rows, A.cols
     r_t = target.row_targets if target else (Fraction(1),) * m
@@ -95,7 +99,7 @@ def exact_sinkhorn_reference(
         records.append((step, side, row_err, col_err, bits))
         if row_err == 0 and col_err == 0:
             return records, True, step, cur, left, right
-        if step == max_steps:
+        if step == max_steps or (bits_cap is not None and bits > bits_cap):
             break
         if (even if step % 2 else odd) == "col":
             f = [t / s for t, s in zip(c_t, csums)]
@@ -105,7 +109,7 @@ def exact_sinkhorn_reference(
             f = [t / s for t, s in zip(r_t, rsums)]
             cur = [[x * fi for x in row] for row, fi in zip(cur, f)]
             left = [x * fi for x, fi in zip(left, f)]
-    return records, False, max_steps, cur, left, right
+    return records, False, step, cur, left, right
 
 
 def _reference_length(A, side, max_steps):

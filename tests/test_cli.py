@@ -214,6 +214,15 @@ class TestLimit:
             1, "", "error: --bordered N must be an integer, got '1" + "0" * 55 + "...\n"
         )
 
+    def test_matrix_other_than_2x2_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"rows": [[1, 2, 3], [4, 5, 6]]}')
+        for matrix, shape in (("1,2,3;4,5,6;7,8,9", "3x3"), (str(path), "2x3")):
+            assert run(capsys, "limit", matrix) == (1, "", (
+                f"error: closed forms cover 2x2 matrices (got {shape}); "
+                "use --bordered N K for the bordered n x n family\n"
+            ))
+
     def test_exact_irrational(self, capsys):
         code, out, _ = run(capsys, "limit", "--exact", "1,2;3,4")
         assert code == 0
@@ -655,8 +664,9 @@ def mostly(valid, invalid):
 
 entry = mostly(("1", "2", "3", "7", "1/2", "4/3", "0.25"),
                ("1/0", "nan", "inf", "1e400", "5e-324", "1e300", "1e-300", "", "x", "0", "-1"))
-# An exact run that is not 2x2 has no bits cap: from entries like 5e-324
-# its bit sizes double each step, so steps stay at most 4 (ROADMAP item 4).
+# An exact run that is not 2x2 and never terminates grows to its step
+# budget: from entries like 5e-324 its bit sizes double each step, so steps
+# stay at most 4 (ROADMAP item 5).
 step_budget = mostly(("1", "2", "3", "4"), ("0", "-1"))
 flag_values = {
     "--start-side": mostly(("column", "row"), ("diagonal",)),

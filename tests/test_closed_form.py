@@ -317,6 +317,8 @@ class TestBorderedMatrix:
         (limit_2x2, (1e-300, 0.5, 1e-300, 1.0), "leaves float range: denominator = 0.0"),
         (limit_2x2, (1e300, 1.0, 1.0, 1e300), "leaves float range: alpha = nan"),
         (limit_2x2_symmetric, (1e-200, 1e-200, 1e-200), "leaves float range: denominator = 0.0"),
+        # an int past 40 digits is echoed clipped
+        (bordered_limit, (10**150, 1e300), f"n, K = (1{'0' * 17}...{'0' * 19}, 1e+300) leaves float range: alpha = 0.0"),
     ],
 )
 def test_float_closed_forms_outside_float_range_raise_a_value_error(call, args, message):

@@ -235,8 +235,7 @@ def _matches_two_sided_reference(A, side, budget, target=None):
     """Run sinkhorn and assert it agrees with the two-sided reference loop
     on every trace record, the status, the step count, the limit and
     both diagonals. The same run with snapshots captured must capture
-    left @ A @ right of each step, and a run capped at step 1's entry
-    bits must stop where the reference, run to that step, stops."""
+    left @ A @ right of each step."""
     cfg = IterationConfig(start_side=side, max_steps=budget, margin_target=target)
     res = sinkhorn(A, cfg)
     _assert_matches(res, exact_sinkhorn_reference(A, side, budget, target))
@@ -251,11 +250,6 @@ def _matches_two_sided_reference(A, side, budget, target=None):
         expected = apply_right(apply_left(DiagonalScaling(left), A), DiagonalScaling(right))
         assert record.matrix == expected
         assert all(type(x) is Fraction for row in record.matrix.entries for x in row)
-
-    cap = res.trace[min(1, res.steps_taken)].max_entry_bits
-    stop = next((r.step for r in res.trace if r.max_entry_bits > cap), res.steps_taken)
-    capped = sinkhorn(A, cfg, entry_bits_cap=cap)
-    _assert_matches(capped, exact_sinkhorn_reference(A, side, stop, target))
     return res
 
 
@@ -327,6 +321,15 @@ class TestTwoSidedReference:
         r = tuple(F(i + 1) for i in range(A.rows))
         c = (sum(r) - A.cols + 1,) + (F(1),) * (A.cols - 1)
         _matches_two_sided_reference(A, side, budget, MarginTarget(r, c))
+
+    def test_bits_cap_stops_the_reference_at_the_first_record_past_it(self):
+        # the guard of the reference search and the two-step bound test
+        A = M((1, 2, 3), (2, 1, 1), (1, 5, 2))
+        capped = exact_sinkhorn_reference(A, StartSide.COLUMN_FIRST, 64, bits_cap=2000)
+        records, terminated, steps, *_ = capped
+        assert not terminated and steps < 64
+        assert records[-1][4] > 2000 >= records[-2][4]
+        _assert_matches(sinkhorn(A, IterationConfig(max_steps=steps)), capped)
 
 
 def _matches_reference_and_rebuilds_limit(A, side, budget, target=None):
@@ -532,17 +535,20 @@ class TestPermutationEquivariance:
 
 
 def _reference_search(n, bound, start_side=StartSide.COLUMN_FIRST, max_steps=64):
-    """One exact run per candidate, in enumeration order: the oracle for
-    the search, which runs once per permutation orbit."""
-    cfg = IterationConfig(start_side=start_side, max_steps=max_steps)
+    """One run of the reference loop per candidate, in enumeration order,
+    until it terminates, takes max_steps steps or passes 4,096-bit
+    entries: the oracle for the search, which runs once per permutation
+    orbit and stops every run at step 2."""
     hits = []
     for combo in itertools.product(range(1, bound + 1), repeat=n * n):
         A = PositiveMatrix([[F(v) for v in combo[i * n:(i + 1) * n]] for i in range(n)])
         if n == 2 and termination_length_2x2(A, start_side, max_steps) is None:
             continue
-        res = sinkhorn(A, cfg, entry_bits_cap=4096)
-        if res.status is Status.TERMINATED_FINITE:
-            hits.append((A, res.steps_taken, res.limit))
+        _, terminated, steps, limit, *_ = exact_sinkhorn_reference(
+            A, start_side, max_steps, bits_cap=4096
+        )
+        if terminated:
+            hits.append((A, steps, PositiveMatrix(limit)))
     return hits
 
 
@@ -634,10 +640,9 @@ class TestSearch:
             assert hits[0].limit == PositiveMatrix([[F(1, n)] * n] * n)
 
     @pytest.mark.parametrize("side", list(StartSide))
-    def test_three_by_three_bound_two_at_the_default_bits_cap(self, side):
-        # the search has no bits cap: every run stops by step 2, so this is
-        # the default call. Proportional rows take two steps from a column
-        # step, and one from a row step; the transposed matrix the other way round
+    def test_three_by_three_bound_two_within_two_steps(self, side):
+        # proportional rows take two steps from a column step, and one from
+        # a row step; the transposed matrix the other way round
         proportional_rows = M((2, 2, 2), (1, 1, 1), (2, 2, 2))
         two_steps = {StartSide.COLUMN_FIRST: proportional_rows, StartSide.ROW_FIRST: transpose(proportional_rows)}
         hits = finite_termination_search(3, 2, start_side=side)
@@ -685,16 +690,10 @@ class TestSearch:
             finite_termination_search(4, 1, candidate_cap=23)
         assert len(finite_termination_search(4, 1, candidate_cap=24)) == 1
 
-    def test_bits_cap_guards_nonterminating_exact_runs(self):
-        A = M((1, 2, 3), (2, 1, 1), (1, 5, 2))
-        res = sinkhorn(A, IterationConfig(max_steps=64), entry_bits_cap=2000)
-        assert res.status is Status.MAX_STEPS_REACHED
-        assert res.steps_taken < 64
-
 
 class TestTwoStepBound:
-    """A unit-margin exact run that terminates does so by step 2, at any
-    n (the proof is in finite_termination_search's docstring)."""
+    """An exact run that terminates does so by step 2, at any n and with
+    any (r, c) targets (the proof is in sinkhorn's docstring)."""
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @settings(max_examples=40, deadline=None)
@@ -728,8 +727,10 @@ class TestTwoStepBound:
     @given(data=st.data(), side=st.sampled_from(list(StartSide)))
     def test_no_run_first_terminates_after_step_two(self, n, data, side):
         A = data.draw(integer_matrices_with_dependent_rows(n))
-        res = sinkhorn(A, IterationConfig(start_side=side, max_steps=64), entry_bits_cap=4096)
-        assert res.status is not Status.TERMINATED_FINITE or res.steps_taken <= 2
+        # no step budget stands in for the bits cap: 4x4 entries reach
+        # about 100,000 bits by step 10
+        _, terminated, steps, *_ = exact_sinkhorn_reference(A, side, 64, bits_cap=4096)
+        assert not terminated or steps <= 2
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -744,7 +745,7 @@ class TestTwoStepBound:
         side=st.sampled_from(list(StartSide)),
     )
     def test_no_run_with_targets_first_terminates_after_step_two(self, rows, data, side):
-        # the proof weighted by the targets: sum(c_j k_j**2 / (1 + k_j)) = 0
+        # the proof's last identity: sum(c_j k_j**2 / (1 + k_j)) = 0
         m, n = len(rows), len(rows[0])
         r = data.draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
         c = data.draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))

@@ -1,11 +1,29 @@
 import ast
+import dataclasses
+import inspect
 import re
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import sinkhornlab
+from sinkhornlab import IterationConfig, StartSide
+
+COLUMN_FIRST = "<StartSide.COLUMN_FIRST: 'column'>"
+#: the call signature of each entry point, so that adding or removing a
+#: keyword shows up as a test diff
+SIGNATURES = {
+    "sinkhorn": "(A: 'PositiveMatrix', cfg: 'IterationConfig | None' = None, *, "
+    "capture_matrices: 'bool' = False) -> 'SinkhornResult'",
+    "termination_length_2x2": f"(A: 'PositiveMatrix', start_side: 'StartSide' = {COLUMN_FIRST}, "
+    "max_steps: 'int' = 64) -> 'Optional[int]'",
+    "finite_termination_search": f"(n: 'int', bound: 'int', *, start_side: 'StartSide' = {COLUMN_FIRST}, "
+    "candidate_cap: 'int' = 10000000) -> 'list[SearchHit]'",
+    "classify_2x2": f"(A: 'PositiveMatrix', start_side: 'StartSide' = {COLUMN_FIRST}) -> 'TerminationClass'",
+}
 
 
 def test_all_names_every_public_object_and_no_submodule():
@@ -44,3 +62,18 @@ def test_readme_library_example_runs():
     imported = re.search(r"from sinkhornlab import \((.*?)\)", blocks[0], re.DOTALL)[1]
     assert {name.strip() for name in imported.split(",") if name.strip()} <= set(sinkhornlab.__all__)
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_entry_point_takes_the_pinned_parameters(name):
+    assert str(inspect.signature(getattr(sinkhornlab, name))) == SIGNATURES[name]
+
+
+def test_iteration_config_has_the_pinned_fields():
+    fields = [(f.name, f.default) for f in dataclasses.fields(IterationConfig)]
+    assert fields == [
+        ("start_side", StartSide.COLUMN_FIRST),
+        ("max_steps", None),
+        ("tolerance", None),
+        ("margin_target", None),
+    ]
