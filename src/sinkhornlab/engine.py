@@ -482,9 +482,11 @@ def finite_termination_search(
 
     So whether a form terminates, and at which step, is an integer
     identity on its entries: _two_step_length decides every form before
-    any Fraction is built. Only a hit form gets an exact two-step
-    sinkhorn run, which gives its limit, must terminate at the step the
-    integer test named, and at L = 2 must end on a singular limit.
+    any Fraction is built, by the paper's closed rule at n = 2 and by
+    the general integer test at larger n. Only a hit form gets an exact
+    two-step sinkhorn run, which gives its limit, must terminate at the
+    step the integer test named, and at L = 2 must end on a singular
+    limit.
 
     Row and column scalings commute with row and column permutations:
     P @ A @ Q takes the same steps, with the same entry bit sizes, as A,
@@ -524,15 +526,7 @@ def finite_termination_search(
     def exact(rows):
         return [list(map(fractions.__getitem__, row)) for row in rows]
 
-    found = []
-    row_values = itertools.product(range(1, bound + 1), repeat=n)
-    for form in itertools.combinations_with_replacement(row_values, n):
-        rows = list(form)
-        if any(sorted(map(q, rows)) < rows for q in orders[1:]):
-            continue  # another column order gives this orbit a smaller form
-        steps = _two_step_length(form, start_side)
-        if steps is None:
-            continue
+    def orbit_hits(form, steps):
         result = sinkhorn(PositiveMatrix(exact(form)), cfg)
         assert (result.status, result.steps_taken) == (Status.TERMINATED_FINITE, steps)
         # a run that first terminates at step 2 ends on a singular limit
@@ -542,7 +536,20 @@ def finite_termination_search(
         for q in orders:
             column_forms.setdefault(tuple(map(q, form)), tuple(map(q, limit)))
         orbit = {p(q_rows): p(q_limit) for q_rows, q_limit in column_forms.items() for p in orders}
-        found += ((member, steps, member_limit) for member, member_limit in orbit.items())
+        return ((member, steps, member_limit) for member, member_limit in orbit.items())
+
+    found = []
+    other_orders = orders[1:]
+    row_values = itertools.product(range(1, bound + 1), repeat=n)
+    for form in itertools.combinations_with_replacement(row_values, n):
+        rows = list(form)
+        for q in other_orders:
+            if sorted(map(q, rows)) < rows:
+                break  # another column order gives this orbit a smaller form
+        else:
+            steps = _two_step_length(form, start_side)
+            if steps is not None:
+                found += orbit_hits(form, steps)
     # entry order is enumeration order, and no two hits share entries
     found.sort(key=itemgetter(0))
     return [
@@ -555,16 +562,27 @@ def _two_step_length(rows, start_side: StartSide):
     """The step at which the exact unit-margin run of a positive integer
     n x n matrix (n >= 2) first terminates: 1, 2, or None for never.
 
-    Integers only, with no gcd. For a column-first run let c_j be the
-    column sums, C = prod(c_j) and P_i = sum_j a_ij * (C / c_j), so that
-    P_i / C is row i's sum after the column step: L = 1 iff every
+    At n = 2 this is the paper's closed rule: a column-first run on
+    (a b; c d) terminates at step 1 iff ab = cd, at step 2 iff ad = bc,
+    and never otherwise.
+
+    At larger n, integers only, with no gcd. For a column-first run let
+    c_j be the column sums, C = prod(c_j) and P_i = sum_j a_ij * (C / c_j),
+    so that P_i / C is row i's sum after the column step: L = 1 iff every
     P_i = C. Otherwise, with Q = prod(P_i), the row step leaves column j
     with sum C * sum_i a_ij * (Q / P_i) / (c_j * Q), so L = 2 iff that is
-    1 for every j. L = 0 cannot occur, since each row sums to at least
-    n, and a run that has not terminated by step 2 never does (the
-    two-step proof in sinkhorn's docstring). A row-first run is
-    the transposed column-first run.
+    1 for every j.
+
+    L = 0 cannot occur, since each row sums to at least n, and a run
+    that has not terminated by step 2 never does (the two-step proof in
+    sinkhorn's docstring). A row-first run is the transposed column-first
+    run, which at n = 2 swaps b and c.
     """
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        if start_side is StartSide.ROW_FIRST:
+            b, c = c, b
+        return 1 if a * b == c * d else 2 if a * d == b * c else None
     cols = list(zip(*rows))
     if start_side is StartSide.ROW_FIRST:
         rows, cols = cols, rows

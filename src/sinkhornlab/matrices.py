@@ -19,7 +19,7 @@ from itertools import chain
 from math import inf
 from typing import Iterable, Union
 
-from .numerics import _echo, format_rational, parse_rational
+from .numerics import _clip, _echo, format_rational, parse_rational
 
 Scalar = Union[float, Fraction]
 
@@ -77,11 +77,12 @@ def _coerce(values, what: str) -> tuple[tuple[Scalar, ...], bool]:
 def _require_positive(flat, exact: bool, describe) -> None:
     """Raise unless every value is positive and, for floats, finite.
 
-    describe(k) gives the label and the shown value of value k for the
-    error message. An exact value is a plain Fraction (see _coerce),
-    whose sign is its numerator's: testing that int is about 7x cheaper
-    than comparing the Fraction with 0, and no Fraction is ever compared
-    with a float.
+    describe(k) gives the label and the value of value k for the error
+    message, which renders the value and cuts it to 60 characters, since
+    a Fraction's str() fails past the int-to-str digit limit. An exact
+    value is a plain Fraction (see _coerce), whose sign is its
+    numerator's: testing that int is about 7x cheaper than comparing the
+    Fraction with 0, and no Fraction is ever compared with a float.
     """
     if exact:
         bad = [k for k, v in enumerate(flat) if v.numerator <= 0]
@@ -91,7 +92,8 @@ def _require_positive(flat, exact: bool, describe) -> None:
         bad = [k for k, v in enumerate(flat) if not 0 < v < inf]
     if not bad:
         return
-    label, shown = describe(bad[0])
+    label, value = describe(bad[0])
+    shown = _clip(_render(value, exact))
     if flat[bad[0]] <= 0:
         raise NonPositiveEntryError(f"{label} is not positive: {shown}")
     raise NonFiniteEntryError(f"{label} is not finite: {shown}")
@@ -217,7 +219,8 @@ class MarginTarget:
         slack = 0 if r_exact else _TARGET_TOTAL_RTOL * max(1.0, abs(r_total))
         if abs(r_total - c_total) > slack:
             raise ValueError(
-                f"target totals differ: sum(r) = {r_total}, sum(c) = {c_total}"
+                f"target totals differ: sum(r) = {_clip(_render(r_total, r_exact))}, "
+                f"sum(c) = {_clip(_render(c_total, r_exact))}"
             )
         object.__setattr__(self, "row_targets", rt)
         object.__setattr__(self, "col_targets", ct)

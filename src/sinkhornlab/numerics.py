@@ -40,7 +40,11 @@ def _echo(x) -> str:
     repr is cut, since reprlib would elide the middle of any string past 30
     characters; reprlib abbreviates long and deeply nested containers
     without recursing through them."""
-    text = repr(x) if isinstance(x, str) else reprlib.repr(x)
+    return _clip(repr(x) if isinstance(x, str) else reprlib.repr(x))
+
+
+def _clip(text: str) -> str:
+    """text cut to 60 characters, for an error line."""
     return text if len(text) <= 60 else text[:57] + "..."
 
 

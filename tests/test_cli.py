@@ -82,6 +82,16 @@ class TestScale:
     def test_long_token_is_echoed_clipped(self, capsys, token, matrix, message):
         assert run(capsys, "scale", matrix.format(token)) == (1, "", f"error: {message}: {token!r:.57}...\n")
 
+    @pytest.mark.parametrize("exponent", [400, 4300])
+    def test_huge_exact_values_are_echoed_clipped(self, capsys, exponent):
+        # an entry and a target total, each past the int-to-str digit limit
+        # at 1e-4300, are rendered in full and cut to 60 characters
+        assert run(capsys, "scale", "--exact", "--", f"-1e-{exponent},1;1,1") == (
+            1, "", f"error: entry (1,1) is not positive: -1/1{'0' * 53}...\n"
+        )
+        argv = ("rc-scale", "--exact", "1,1;1,1", "--row-targets", f"1,1e-{exponent}", "--col-targets", "1,1")
+        assert run(capsys, *argv) == (1, "", f"error: target totals differ: sum(r) = 1{'0' * 56}..., sum(c) = 2\n")
+
     def test_budget_exhaustion_exits_two(self, capsys):
         code, out, _ = run(capsys, "scale", "1,3;3,4", "--max-steps", "3", "--tol", "1e-15")
         assert code == 2
@@ -512,6 +522,8 @@ def test_closed_stdout_exits_141_quietly(argv):
         ["limit", "--bordered", "3", "1e10000000"],
         ["limit", "--bordered", "1" + "0" * 200, "2"],
         ["limit", "--bordered", "1" + "0" * 400, "1"],
+        ["scale", "--exact", "--", "-1e-4300,1;1,1"],
+        ["rc-scale", "--exact", "1,1;1,1", "--row-targets", "1,1e-4300", "--col-targets", "1,1"],
     ],
 )
 def test_huge_numbers_exit_one_at_once(argv, tmp_path):

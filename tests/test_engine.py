@@ -23,6 +23,7 @@ from sinkhornlab import (
     Status,
     apply_left,
     apply_right,
+    classify_2x2,
     col_sums,
     finite_termination_search,
     is_doubly_stochastic,
@@ -589,6 +590,16 @@ class TestSearch:
         assert Counter(h.length for h in hits) == {1: 156, 2: 114}
 
     @pytest.mark.parametrize("side", list(StartSide))
+    def test_two_by_two_bound_ten_catalog(self, side):
+        # every form is decided by the closed rule; the classifier agrees
+        hits = finite_termination_search(2, 10, start_side=side)
+        assert len(hits) == 456
+        assert Counter(h.length for h in hits) == {1: 278, 2: 178}
+        keys = [h.matrix.entries for h in hits]
+        assert all(a < b for a, b in zip(keys, keys[1:]))  # enumeration order, no repeats
+        assert all(h.length == classify_2x2(h.matrix, side).length for h in hits)
+
+    @pytest.mark.parametrize("side", list(StartSide))
     def test_four_by_four_bound_two_catalog(self, side):
         # the counts of a per-candidate, full 64-step search at the 4096-bit cap
         hits = finite_termination_search(4, 2, start_side=side)
@@ -802,6 +813,20 @@ class TestTwoStepLength:
         # hits of both lengths, and runs that never terminate; L = 0 cannot
         # occur, since a positive integer row sums to at least n
         assert all(lengths[L] > 0 for L in (None, 1, 2)), lengths
+
+    def test_every_two_by_two_with_entries_up_to_eight(self):
+        # the closed rule against a two-step engine run, 8,192 runs; both
+        # identities hold at once from a column step on equal rows, and
+        # from a row step on equal columns: the step-1 identity wins
+        lengths = Counter()
+        for a, b, c, d in itertools.product(range(1, 9), repeat=4):
+            verdicts = _verdicts_checked_against_the_engine([[a, b], [c, d]])
+            lengths.update(verdicts.values())
+            if (a, b) == (c, d):
+                assert verdicts[StartSide.COLUMN_FIRST] == 1
+            if (a, c) == (b, d):
+                assert verdicts[StartSide.ROW_FIRST] == 1
+        assert lengths == {None: 7680, 1: 320, 2: 192}
 
 
 class TestTraceCsv:

@@ -179,6 +179,14 @@ class TestConstruction:
         with pytest.raises(NonPositiveEntryError, match=rf"^entry \(2,1\) is not positive: {bad}$"):
             M((F(1), F(2)), (bad, F(4)))
 
+    @pytest.mark.parametrize("exponent", [400, 4300])
+    def test_huge_exact_entry_is_echoed_clipped(self, exponent):
+        # past the int-to-str digit limit a Fraction has no str(): the entry
+        # is rendered with format_rational and cut to 60 characters
+        with pytest.raises(NonPositiveEntryError) as info:
+            M((F(-1, 10**exponent), 1), (1, 1))
+        assert str(info.value) == f"entry (1,1) is not positive: -1/1{'0' * 53}..."
+
     def test_mixed_int_and_fraction_entries_become_fractions(self):
         A = M((1, F(1, 2)), (F(3), 4))
         assert A.exact
@@ -428,8 +436,15 @@ class TestMarginTarget:
             MarginTarget((1, 2), (2, 2))
 
     def test_rejects_unequal_totals_approx(self):
-        with pytest.raises(ValueError):
+        # a float total keeps its repr
+        with pytest.raises(ValueError, match=r"^target totals differ: sum\(r\) = 3\.0, sum\(c\) = 4\.0$"):
             MarginTarget((1.0, 2.0), (2.0, 2.0))
+
+    @pytest.mark.parametrize("exponent", [400, 4300])
+    def test_huge_exact_totals_are_echoed_clipped(self, exponent):
+        with pytest.raises(ValueError) as info:
+            MarginTarget((1, F(1, 10**exponent)), (1, 1))
+        assert str(info.value) == f"target totals differ: sum(r) = 1{'0' * 56}..., sum(c) = 2"
 
     def test_accepts_matching_float_totals(self):
         t = MarginTarget((1.0, 3.0), (2.0, 2.0))
