@@ -19,13 +19,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import DiagonalScaling, PositiveMatrix, Scalar
-from .numerics import _echo, rational_sqrt
+from .numerics import _clip, _echo, format_rational, rational_sqrt
 
 
 def _require_positive(**named) -> None:
+    """Raise unless every value is positive. The message renders an exact
+    value with format_rational, since its str() fails past the int-to-str
+    digit limit, and cuts it to 60 characters."""
     for name, v in named.items():
         if v <= 0:
-            raise ValueError(f"entry {name} must be positive, got {v}")
+            shown = format_rational(v) if isinstance(v, (int, Fraction)) else repr(v)
+            raise ValueError(f"entry {name} must be positive, got {_clip(shown)}")
 
 
 def _alpha_beta_matrix(alpha: Scalar, beta: Scalar) -> PositiveMatrix:

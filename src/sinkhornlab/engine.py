@@ -144,7 +144,7 @@ def sinkhorn(
     are linearly dependent: a square S is singular.
 
     An exact run computes on reduced integer pairs, not Fractions (see
-    _exact_sinkhorn); its records, limit and diagonals are the Fractions
+    _exact_steps); its records, limit and diagonals are the Fractions
     the same loop in Fraction arithmetic would give. Its diagonals are
     the products of the step factors, formed once, when the run returns,
     not reduced step by step. An exact step meets its own side's targets
@@ -250,42 +250,26 @@ _OTHER_SIDE = {"row": "col", "col": "row"}
 
 
 def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices):
-    """sinkhorn's exact regime. Entries, margins, targets and step factors
-    are (numerator, denominator) pairs of ints in lowest terms, reduced
-    with math.gcd after each sum and product as Fraction reduces them, so
-    each pair is its Fraction's and max_entry_bits reads the same.
-    Fractions are built only for what the run returns: each record's
-    errors and snapshot, the limit and both diagonals.
+    """sinkhorn's exact regime, on the steps of _exact_steps. Fractions
+    are built only for what the run returns: each record's errors and
+    snapshot, the limit and both diagonals.
 
-    Nothing reads a diagonal before the run returns, so the loop keeps
+    Nothing reads a diagonal before the run returns, so the run keeps
     each step's factors and forms the diagonals once, at the end: reduced
     every step, they would cost two gcds per entry on operands of
     thousands of bits.
-
-    The iterate is held as lines along the side the next step scales. A
-    step multiplies each line by its factor target / sum and transposes,
-    so the new lines run along the other side, whose sums are the only
-    margins the step moved off their targets.
     """
-    side = _side_of_step(start_side, 1)  # the side the next step scales
-    other = _OTHER_SIDE[side]
     targets = {"row": _pairs(r_t), "col": _pairs(c_t)}
     # each step's factors by side, after an all-ones step that keeps a
     # diagonal no step scaled at 1
     factor_steps = {"row": [[(1, 1)] * A.rows], "col": [[(1, 1)] * A.cols]}
-    lines = [_pairs(row) for row in A.entries]
-    if side == "col":
-        lines = list(zip(*lines))
-    sums = list(map(_pair_sum, lines))
-    gaps = {
-        side: _max_gap(sums, targets[side]),
-        other: _max_gap(map(_pair_sum, zip(*lines)), targets[other]),
-    }
+    run = _exact_steps(list(map(_pairs, A.entries)), _side_of_step(start_side, 1), targets)
     records: list[TraceRecord] = []
-    for step in itertools.count():
+    for step, (lines, side, row_gap, col_gap, factors) in enumerate(run):
+        if step:
+            factor_steps[_OTHER_SIDE[side]].append(factors)
         # the bit size of the largest numerator or denominator
         bits = max(map(max, itertools.chain.from_iterable(lines))).bit_length()
-        row_gap, col_gap = gaps["row"], gaps["col"]
         records.append(
             TraceRecord(
                 step=step,
@@ -302,14 +286,6 @@ def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices):
         if step == max_steps:
             status = Status.MAX_STEPS_REACHED
             break
-        factors = [_product(t, s[::-1]) for t, s in zip(targets[side], sums)]
-        lines = [[_product(x, f) for x in line] for line, f in zip(lines, factors)]
-        factor_steps[side].append(factors)
-        gaps[side] = (0, 1)
-        side = _OTHER_SIDE[side]
-        lines = list(zip(*lines))
-        sums = list(map(_pair_sum, lines))
-        gaps[side] = _max_gap(sums, targets[side])
 
     return SinkhornResult(
         limit=PositiveMatrix(_fraction_rows(lines, side)),
@@ -319,6 +295,38 @@ def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices):
         status=status,
         trace=tuple(records),
     )
+
+
+def _exact_steps(rows, side: str, targets):
+    """The exact steps from `rows`, the first scaling `side`, against
+    targets {"row": r, "col": c}. Entries, sums, targets and factors are
+    (numerator, denominator) pairs of ints in lowest terms, reduced with
+    math.gcd after each sum and product as Fraction reduces them. Yields,
+    at step 0 and after each step, without end: the lines, the side the
+    next step scales, the row and column gaps as unreduced pairs, and the
+    factors of the step just taken (None at step 0).
+
+    The iterate is held as lines along the side the next step scales. A
+    step multiplies each line by its factor target / sum and transposes,
+    so the new lines run along the other side, whose sums are the only
+    margins the step moved off their targets.
+    """
+    lines = list(zip(*rows)) if side == "col" else rows
+    sums = list(map(_pair_sum, lines))
+    gaps = {
+        side: _max_gap(sums, targets[side]),
+        _OTHER_SIDE[side]: _max_gap(map(_pair_sum, zip(*lines)), targets[_OTHER_SIDE[side]]),
+    }
+    factors = None
+    while True:
+        yield lines, side, gaps["row"], gaps["col"], factors
+        factors = [_product(t, s[::-1]) for t, s in zip(targets[side], sums)]
+        lines = [[_product(x, f) for x in line] for line, f in zip(lines, factors)]
+        gaps[side] = (0, 1)
+        side = _OTHER_SIDE[side]
+        lines = list(zip(*lines))
+        sums = list(map(_pair_sum, lines))
+        gaps[side] = _max_gap(sums, targets[side])
 
 
 def _pairs(values):
@@ -483,10 +491,10 @@ def finite_termination_search(
     So whether a form terminates, and at which step, is an integer
     identity on its entries: _two_step_length decides every form before
     any Fraction is built, by the paper's closed rule at n = 2 and by
-    the general integer test at larger n. Only a hit form gets an exact
-    two-step sinkhorn run, which gives its limit, must terminate at the
-    step the integer test named, and at L = 2 must end on a singular
-    limit.
+    the general integer test at larger n. Only a hit form runs sinkhorn's
+    exact step loop, up to step 2 and without records or diagonals, which
+    gives its limit, must terminate at the step the integer test named,
+    and at L = 2 must end on a singular limit (AssertionError otherwise).
 
     Row and column scalings commute with row and column permutations:
     P @ A @ Q takes the same steps, with the same entry bit sizes, as A,
@@ -515,8 +523,8 @@ def finite_termination_search(
         )
     if any(f > candidate_cap for f in itertools.accumulate(range(1, n + 1), mul)):
         raise ValueError(f"the {n}! permutation orders exceed the cap of {candidate_cap}")
-    # no run first terminates after step 2 (the proof in sinkhorn's docstring)
-    cfg = IterationConfig(start_side=start_side, max_steps=2)
+    first_side = _side_of_step(start_side, 1)
+    units = {"row": [(1, 1)] * n, "col": [(1, 1)] * n}
     # one getter per order permutes a row's entries, or a matrix's rows
     orders = [itemgetter(*p) for p in itertools.permutations(range(n))]
     # fractions[v] == v, built once: PositiveMatrix keeps all-Fraction rows as
@@ -527,11 +535,17 @@ def finite_termination_search(
         return [list(map(fractions.__getitem__, row)) for row in rows]
 
     def orbit_hits(form, steps):
-        result = sinkhorn(PositiveMatrix(exact(form)), cfg)
-        assert (result.status, result.steps_taken) == (Status.TERMINATED_FINITE, steps)
+        run = _exact_steps([[(v, 1) for v in row] for row in form], first_side, units)
+        # no run first terminates after step 2 (the proof in sinkhorn's docstring)
+        for step, (lines, side, row_gap, col_gap, _) in zip(range(3), run):
+            if not row_gap[0] and not col_gap[0]:
+                break
+        if row_gap[0] or col_gap[0] or step != steps:
+            raise AssertionError(f"the exact run of {form} does not terminate at step {steps}")
+        limit = _fraction_rows(lines, side)
         # a run that first terminates at step 2 ends on a singular limit
-        assert steps < 2 or _determinant(result.limit.entries) == 0
-        limit = result.limit.entries
+        if steps == 2 and _determinant(limit) != 0:
+            raise AssertionError(f"the exact run of {form} ends on a regular limit")
         column_forms = {}
         for q in orders:
             column_forms.setdefault(tuple(map(q, form)), tuple(map(q, limit)))

@@ -26,7 +26,7 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     denominator are both perfect squares of integers.
     """
     if q <= 0:
-        raise ValueError(f"expected a positive rational, got {q}")
+        raise ValueError(f"expected a positive rational, got {_clip(format_rational(q))}")
     rn = isqrt(q.numerator)
     rd = isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:

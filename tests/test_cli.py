@@ -92,6 +92,11 @@ class TestScale:
         argv = ("rc-scale", "--exact", "1,1;1,1", "--row-targets", f"1,1e-{exponent}", "--col-targets", "1,1")
         assert run(capsys, *argv) == (1, "", f"error: target totals differ: sum(r) = 1{'0' * 56}..., sum(c) = 2\n")
 
+    @pytest.mark.parametrize("flags", [(), ("--exact",)], ids=["approx", "exact"])
+    def test_zero_step_budget_exits_one(self, capsys, flags):
+        argv = ("scale", *flags, "1,2;3,4", "--max-steps", "0")
+        assert run(capsys, *argv) == (1, "", "error: max_steps must be >= 1, got 0\n")
+
     def test_budget_exhaustion_exits_two(self, capsys):
         code, out, _ = run(capsys, "scale", "1,3;3,4", "--max-steps", "3", "--tol", "1e-15")
         assert code == 2

@@ -102,6 +102,15 @@ class TestLimit2x2Exact:
         with pytest.raises(ValueError):
             limit_2x2_exact(F(1), F(-2), F(3), F(4))
 
+    def test_rejected_huge_entry_is_named_and_clipped(self):
+        # str() of either value fails past the int-to-str digit limit
+        with pytest.raises(ValueError, match=rf"^entry a must be positive, got -1/1{'0' * 53}\.\.\.$"):
+            limit_2x2_exact(F(-1, 10**5000), 1, 1, 1)
+        with pytest.raises(ValueError, match=rf"^entry d must be positive, got -1{'0' * 55}\.\.\.$"):
+            limit_2x2_exact(1, 1, 1, -(10**5000))
+        with pytest.raises(ValueError, match=r"^entry b must be positive, got -2\.0$"):
+            limit_2x2(1.0, -2.0, 1.0, 1.0)
+
     @given(positive_fractions, positive_fractions, positive_fractions, positive_fractions)
     @settings(max_examples=300)
     def test_coherent_with_square_predicate(self, a, b, c, d):

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import random
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -32,6 +33,7 @@ from sinkhornlab import (
     termination_length_2x2,
     transpose,
 )
+from sinkhornlab import engine
 from sinkhornlab.cli import trace_csv
 from sinkhornlab.engine import _determinant, _steps_until_doubly_stochastic, _two_step_length
 
@@ -191,6 +193,12 @@ class TestApproximateIteration:
         res = sinkhorn(A)
         assert res.status is Status.CONVERGED
         assert is_doubly_stochastic(res.limit, tol=1e-12)
+
+
+@pytest.mark.parametrize("A", [M(*A_SLOW), M((1.0, 3.0), (3.0, 4.0))], ids=["exact", "approx"])
+def test_zero_step_budget_is_rejected(A):
+    with pytest.raises(ValueError, match=r"^max_steps must be >= 1, got 0$"):
+        sinkhorn(A, IterationConfig(max_steps=0))
 
 
 class TestRcScaling:
@@ -670,6 +678,50 @@ class TestSearch:
         assert {(transpose(h.matrix), h.length, transpose(h.limit)) for h in by_column} == {
             (h.matrix, h.length, h.limit) for h in by_row
         }
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_one_step_hit_named_two_raises(self, monkeypatch, n, side):
+        # each hit's exact run must terminate at the step the integer test named
+        monkeypatch.setattr(engine, "_two_step_length", lambda rows, s: {1: 2}.get(_two_step_length(rows, s)))
+        with pytest.raises(AssertionError) as info:
+            finite_termination_search(n, 2, start_side=side)
+        assert str(info.value) == f"the exact run of {((1,) * n,) * n} does not terminate at step 2"
+
+    def test_a_two_step_hit_named_one_raises(self, monkeypatch):
+        def one_for_two(rows, side):
+            steps = _two_step_length(rows, side)
+            return 1 if steps == 2 else steps
+
+        monkeypatch.setattr(engine, "_two_step_length", one_for_two)
+        with pytest.raises(AssertionError) as info:
+            finite_termination_search(2, 2)
+        assert str(info.value) == "the exact run of ((1, 1), (2, 2)) does not terminate at step 1"
+
+    def test_a_miss_named_a_hit_raises(self, monkeypatch):
+        monkeypatch.setattr(engine, "_two_step_length", lambda rows, side: _two_step_length(rows, side) or 2)
+        with pytest.raises(AssertionError) as info:
+            finite_termination_search(2, 2)
+        assert str(info.value) == "the exact run of ((1, 1), (1, 2)) does not terminate at step 2"
+
+    def test_a_regular_two_step_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(engine, "_determinant", lambda rows: F(1))
+        assert finite_termination_search(2, 1)  # a one-step hit takes no determinant
+        with pytest.raises(AssertionError) as info:
+            finite_termination_search(2, 2)
+        assert str(info.value) == "the exact run of ((1, 1), (2, 2)) ends on a regular limit"
+
+    def test_the_checks_hold_under_python_O(self):
+        probe = (
+            "import sinkhornlab.engine as e\n"
+            "e._two_step_length = lambda rows, side: 2\n"
+            "e.finite_termination_search(2, 2)\n"
+        )
+        run = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stderr.splitlines()[-1] == (
+            "AssertionError: the exact run of ((1, 1), (1, 1)) does not terminate at step 2"
+        )
 
     def test_candidate_cap(self):
         with pytest.raises(ValueError):

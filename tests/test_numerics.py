@@ -12,6 +12,7 @@ from sinkhornlab import (
     parse_rational,
     rational_sqrt,
 )
+from sinkhornlab.numerics import _clip
 
 from .strategies import positive_fractions
 
@@ -149,6 +150,17 @@ class TestExponentLimit:
             parse_rational("1e5001")
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # no limit
         assert parse_rational("1e5001") == 10**5001
+
+
+def test_clip_keeps_sixty_characters_and_cuts_past_them():
+    assert _clip("x" * 60) == "x" * 60
+    assert _clip("y" * 61) == "y" * 57 + "..."
+
+
+def test_rejected_huge_rational_is_rendered_clipped():
+    # str() of this Fraction fails past the int-to-str digit limit
+    with pytest.raises(ValueError, match=rf"^expected a positive rational, got -1/1{'0' * 53}\.\.\.$"):
+        rational_sqrt(Fraction(-1, 10**5000))
 
 
 def test_perfect_square_edge_cases():

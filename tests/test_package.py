@@ -52,6 +52,19 @@ def test_runtime_imports_are_stdlib_only():
     assert modules and modules <= sys.stdlib_module_names, modules - sys.stdlib_module_names
 
 
+def test_no_module_has_an_assert_statement():
+    """python -O strips assert statements, so every check in the package
+    raises explicitly."""
+    src = Path(sinkhornlab.__file__).resolve().parent
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 def test_readme_library_example_runs():
     """The fenced Python block under README's Library heading runs against
     what the package exports."""
