@@ -243,11 +243,12 @@ class TestRcScaling:
 def _matches_two_sided_reference(A, side, budget, target=None):
     """Run sinkhorn and assert it agrees with the two-sided reference loop
     on every trace record, the status, the step count, the limit and
-    both diagonals. The same run with snapshots captured must capture
-    left @ A @ right of each step."""
+    both diagonals, which satisfy left @ A @ right == limit. The same run
+    with snapshots captured must capture left @ A @ right of each step."""
     cfg = IterationConfig(start_side=side, max_steps=budget, margin_target=target)
     res = sinkhorn(A, cfg)
     _assert_matches(res, exact_sinkhorn_reference(A, side, budget, target))
+    assert apply_right(apply_left(res.left_accum, A), res.right_accum) == res.limit
 
     captured = sinkhorn(A, cfg, capture_matrices=True)
     assert [replace(r, matrix=None) for r in captured.trace] == list(res.trace)
@@ -301,6 +302,8 @@ class TestTwoSidedReference:
             (((F(1, 3), 2, F(5, 7)), (4, F(9, 2), 1)), 6, MarginTarget((F(1, 2), 2), (1, F(1, 2), 1))),
             # a margin sum whose reduction cancels a factor of its terms' common denominator
             (((F(1, 3), 1, F(1, 3)), (1, 1, 3), (F(2, 3), F(3, 2), F(1, 6))), 4, None),
+            # tall, with targets: the derived diagonals index A's first row and column
+            (((1, 2), (3, 4), (5, 7)), 6, MarginTarget((1, 2, 3), (2, 4))),
         ],
     )
     def test_fixed_inputs(self, rows, budget, target, side):
@@ -314,6 +317,24 @@ class TestTwoSidedReference:
         res = _matches_two_sided_reference(PositiveMatrix(rows), side, 8)
         assert res.status is Status.TERMINATED_FINITE
         assert (res.steps_taken, res.trace[-1].side) == (1, last)
+        # the side no step scaled keeps its diagonal at 1
+        unscaled = res.left_accum if last == "col" else res.right_accum
+        assert all(type(x) is Fraction and x == 1 for x in unscaled.diag)
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize("budget", [1, 2, 5, 9])
+    @pytest.mark.parametrize(
+        "rows,target",
+        [
+            (((F(3, 7),),), MarginTarget((F(5, 2),), (F(5, 2),))),
+            (((1, F(2, 3), 5),), MarginTarget((3,), (F(1, 2), 2, F(1, 2)))),
+            (((2,), (F(1, 3),), (7,)), MarginTarget((1, F(3, 4), F(5, 4)), (3,))),
+        ],
+        ids=["1x1", "1x3", "3x1"],
+    )
+    def test_degenerate_shapes_with_targets(self, rows, target, budget, side):
+        # a diagonal derived from the limit indexes A's first row and column
+        _matches_two_sided_reference(PositiveMatrix(rows), side, budget, target)
 
     @given(
         exact_matrices(min_dim=2, max_dim=4, square=True),
@@ -354,8 +375,8 @@ def _matches_reference_and_rebuilds_limit(A, side, budget, target=None):
 
 class TestLongExactRuns:
     """Runs long enough that the diagonals reach thousands of bits, where
-    the engine forms them once from the step factors and the reference
-    multiplies them step by step."""
+    the engine derives them from the limit and one accumulated coordinate
+    and the reference multiplies them step by step."""
 
     @pytest.mark.parametrize("side", list(StartSide))
     @pytest.mark.parametrize(
@@ -396,6 +417,13 @@ class TestLongExactRuns:
         # entry bits about double every step under these targets
         res = _matches_reference_and_rebuilds_limit(
             M((1, 2, 3), (4, 5, 6)), side, 16, MarginTarget((1, 2), (1, 1, 1))
+        )
+        assert res.status is Status.MAX_STEPS_REACHED
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    def test_tall_rectangular_targets(self, side):
+        res = _matches_reference_and_rebuilds_limit(
+            M((1, 2), (3, 4), (5, 7)), side, 16, MarginTarget((1, 2, 3), (2, 4))
         )
         assert res.status is Status.MAX_STEPS_REACHED
 
