@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import itemgetter, mul, sub
 from typing import Optional
 
@@ -493,7 +493,8 @@ def finite_termination_search(
     the general integer test at larger n. Only a hit form runs sinkhorn's
     exact step loop, up to step 2 and without records or diagonals, which
     gives its limit, must terminate at the step the integer test named,
-    and at L = 2 must end on a singular limit (AssertionError otherwise).
+    and at L = 2 must end on a singular limit (AssertionError otherwise),
+    a determinant taken in integers (_integer_row, _determinant).
 
     Row and column scalings commute with row and column permutations:
     P @ A @ Q takes the same steps, with the same entry bit sizes, as A,
@@ -508,7 +509,9 @@ def finite_termination_search(
     its distinct column orders F @ Q, each with the limit L @ Q (equal
     forms have equal limits, by the argument above), then every row
     order of each, P @ F @ Q with P @ L @ Q. Candidates of the other
-    orbits cost nothing. Hits come in enumeration order.
+    orbits cost nothing. Limits stay integer pairs until the end, where
+    each distinct limit is built once and shared. Hits come in
+    enumeration order.
     """
     if n < 2:
         raise ValueError(f"search needs n >= 2, got {n}")
@@ -541,9 +544,9 @@ def finite_termination_search(
                 break
         if row_gap[0] or col_gap[0] or step != steps:
             raise AssertionError(f"the exact run of {form} does not terminate at step {steps}")
-        limit = _fraction_rows(lines, side)
+        limit = tuple(lines) if side == "row" else tuple(zip(*lines))
         # a run that first terminates at step 2 ends on a singular limit
-        if steps == 2 and _determinant(limit) != 0:
+        if steps == 2 and _determinant(map(_integer_row, limit)) != 0:
             raise AssertionError(f"the exact run of {form} ends on a regular limit")
         column_forms = {}
         for q in orders:
@@ -565,10 +568,12 @@ def finite_termination_search(
                 found += orbit_hits(form, steps)
     # entry order is enumeration order, and no two hits share entries
     found.sort(key=itemgetter(0))
-    return [
-        SearchHit(PositiveMatrix(exact(member)), steps, PositiveMatrix(limit))
-        for member, steps, limit in found
-    ]
+    # one matrix per distinct limit, from one Fraction per distinct entry
+    limits = dict.fromkeys(limit for *_, limit in found)
+    values = {x: Fraction(*x) for x in {e for limit in limits for row in limit for e in row}}
+    for limit in limits:
+        limits[limit] = PositiveMatrix([list(map(values.__getitem__, row)) for row in limit])
+    return [SearchHit(PositiveMatrix(exact(member)), steps, limits[limit]) for member, steps, limit in found]
 
 
 def _two_step_length(rows, start_side: StartSide):
@@ -612,17 +617,28 @@ def _two_step_length(rows, start_side: StartSide):
     return None
 
 
-def _determinant(rows) -> Fraction:
-    """Exact determinant of a square Fraction matrix, by elimination."""
+def _integer_row(pairs):
+    """A row of reduced pairs times the lcm of its denominators: integers,
+    and a row of a singular matrix scaled so keeps it singular."""
+    m = lcm(*(b for _, b in pairs))
+    return [a * (m // b) for a, b in pairs]
+
+
+def _determinant(rows) -> int:
+    """Exact determinant of a square int matrix, by fraction-free (Bareiss)
+    elimination: each entry stays a minor of the input, so every division
+    is exact."""
     rows = [list(row) for row in rows]
-    det = Fraction(1)
+    sign, previous = 1, 1
     for k in range(len(rows)):
         pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         rows[k], rows[pivot] = rows[pivot], rows[k]
-        det *= rows[k][k] if pivot == k else -rows[k][k]
+        sign = sign if pivot == k else -sign
+        top, p = rows[k], rows[k][k]
         for row in rows[k + 1:]:
-            f = row[k] / rows[k][k]
-            row[k:] = [x - f * y for x, y in zip(row[k:], rows[k][k:])]
-    return det
+            f = row[k]
+            row[k + 1:] = [(x * p - f * y) // previous for x, y in zip(row[k + 1:], top[k + 1:])]
+        previous = p
+    return sign * previous

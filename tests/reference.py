@@ -112,6 +112,23 @@ def exact_sinkhorn_reference(
     return records, False, step, cur, left, right
 
 
+def determinant_reference(rows) -> Fraction:
+    """Exact determinant of a square matrix of ints or Fractions, by
+    elimination in Fraction arithmetic."""
+    rows = [list(map(Fraction, row)) for row in rows]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        det *= rows[k][k] if pivot == k else -rows[k][k]
+        for row in rows[k + 1:]:
+            f = row[k] / rows[k][k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], rows[k][k:])]
+    return det
+
+
 def _reference_length(A, side, max_steps):
     """termination_length_2x2 by the iterate's first row (p, q), reduced
     by gcd every half-step: the oracle for the odds-coordinate fast path."""

@@ -122,3 +122,18 @@ def integer_matrices_with_dependent_rows(draw, n, bound=9):
         chosen = draw(st.lists(st.sampled_from(others), min_size=1, max_size=n - 1, unique=True))
         rows[target] = [sum(rows[i][j] for i in chosen) for j in range(n)]
     return PositiveMatrix(rows)
+
+
+@st.composite
+def square_matrices_often_singular(draw, entries):
+    """Square lists of rows, n = 1..5, with entries drawn from `entries`;
+    in about half the draws one row is an integer combination of the
+    others (the zero row at n = 1), so the matrix is singular."""
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        target = draw(st.integers(0, n - 1))
+        weights = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        weights[target] = 0
+        rows[target] = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(n)]
+    return rows

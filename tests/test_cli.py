@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -491,6 +492,25 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["candidates"] == 16
         assert all(h["length"] <= 2 for h in payload["hits"])
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "search --n 2 --bound 10 --start-side row --format json",
+                "a6e0da3e53bc0f0e4bc3078574bf75fd6d1156296886fc0bd85c1855616454d4",
+            ),
+            (
+                "search --n 3 --bound 3 --format json",
+                "1626f5fafe55955062e7f146ff1288cf45a782d7d82ca5c5690d48927bd29486",
+            ),
+        ],
+    )
+    def test_json_catalog_bytes_pinned(self, capsys, argv, digest):
+        # the sha256 of the whole output, hits and limits, byte for byte
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

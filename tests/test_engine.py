@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -35,14 +35,26 @@ from sinkhornlab import (
 )
 from sinkhornlab import engine
 from sinkhornlab.cli import trace_csv
-from sinkhornlab.engine import _determinant, _steps_until_doubly_stochastic, _two_step_length
+from sinkhornlab.engine import (
+    _determinant,
+    _integer_row,
+    _pairs,
+    _steps_until_doubly_stochastic,
+    _two_step_length,
+)
 
-from .reference import _reference_length, exact_sinkhorn_reference, scaling_invariance_check
+from .reference import (
+    _reference_length,
+    determinant_reference,
+    exact_sinkhorn_reference,
+    scaling_invariance_check,
+)
 from .strategies import (
     approx_matrices,
     exact_matrices,
     exact_matrices_2x2,
     integer_matrices_with_dependent_rows,
+    square_matrices_often_singular,
     two_step_matrices,
 )
 
@@ -661,6 +673,21 @@ class TestSearch:
             sampled_hits += terminated
         assert sampled_hits > 0  # the sample checks both directions
 
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize("n,bound", [(2, 10), (3, 3)])
+    def test_shared_limits_are_each_hits_own(self, n, bound, side):
+        # each distinct limit is built once and shared: every hit's limit is
+        # its own two-step run's, and equal limits are the one shared matrix
+        hits = finite_termination_search(n, bound, start_side=side)
+        cfg = IterationConfig(start_side=side, max_steps=2)
+        for h in hits:
+            res = sinkhorn(h.matrix, cfg)
+            assert (res.status, res.steps_taken, res.limit) == (Status.TERMINATED_FINITE, h.length, h.limit)
+        by_value = {}
+        for h in hits:
+            assert by_value.setdefault(h.limit, h.limit) is h.limit
+        assert len(by_value) < len(hits)
+
     def test_small_catalog_contents(self):
         hits = finite_termination_search(2, 4, start_side=StartSide.ROW_FIRST)
         by_matrix = {h.matrix: h for h in hits}
@@ -804,14 +831,32 @@ class TestTwoStepBound:
         [
             (((1, 2), (3, 4)), -2),
             (((0, 1, 2), (1, 0, 3), (4, -3, 8)), -2),  # needs a row swap
-            (((F(1, 2), F(1, 3)), (F(3, 4), F(1, 2))), 0),
+            # rational rows, scaled to ints as the search scales its limits
+            ([_integer_row(_pairs(row)) for row in ((F(1, 2), F(1, 3)), (F(3, 4), F(1, 2)))], 0),
             (((2, 0, 0, 0), (0, 0, 3, 0), (0, 1, 0, 0), (0, 0, 0, 5)), -30),
             (((2, 1, 1), (1, 2, 1), (3, 3, 2)), 0),
             (((1, 1, 1), (2, 2, 2), (3, 1, 4)), 0),
         ],
     )
     def test_determinant(self, rows, det):
-        assert _determinant([[F(x) for x in row] for row in rows]) == det
+        # int rows in, an int out: no Fraction, and every division exact
+        assert all(type(x) is int for row in rows for x in row)
+        result = _determinant(rows)
+        assert type(result) is int and result == det
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=square_matrices_often_singular(st.integers(-3, 3)))
+    def test_determinant_matches_fraction_elimination(self, rows):
+        assert _determinant(rows) == determinant_reference(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=square_matrices_often_singular(st.fractions(-3, 3, max_denominator=4)))
+    def test_scaled_rows_keep_the_determinant_up_to_a_positive_factor(self, rows):
+        # scaling row i by m_i > 0 multiplies the determinant by their product,
+        # so a zero determinant stays zero and a sign is kept
+        pairs = [_pairs(row) for row in rows]
+        scale = prod(lcm(*(b for _, b in row)) for row in pairs)
+        assert _determinant(map(_integer_row, pairs)) == determinant_reference(rows) * scale
 
     @pytest.mark.parametrize("n", [3, 4])
     @settings(max_examples=40, deadline=None)
