@@ -16,10 +16,10 @@ column scaling, the cases are algebraic in the entries (a b; c d):
 A row step on A is a column step on its transpose, so a row-first
 verdict is the column-first verdict of A^T, with the mirrored names: the
 one-step form (a b; bt at) and the rank-one form (p pt; r rt). The
-identities are tested exactly in integers, cross-multiplied over the
-entries' numerators and denominators, so no Fraction arithmetic is spent
-on an infinite verdict. Every verdict is cross-checked against the exact
-engine before it is returned.
+lengths come from the engine's closed rule, _two_step_length, which
+`search` uses too, on A with its columns scaled to integers, so no
+Fraction arithmetic is spent on an infinite verdict. Every verdict is
+cross-checked against the exact engine before it is returned.
 """
 
 from __future__ import annotations
@@ -29,15 +29,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .closed_form import _alpha_beta_matrix
-from .engine import StartSide, termination_length_2x2, _require_exact_2x2
+from .engine import StartSide, termination_length_2x2, _require_exact_2x2, _two_step_length
 from .matrices import PositiveMatrix
 
 _FLAT_LIMIT = _alpha_beta_matrix(Fraction(1, 2), Fraction(1, 2))
-
-
-def _swapped_limit(x: int, y: int) -> PositiveMatrix:
-    """The one-step limit (p q; q p) with p = x/(x+y) and q = y/(x+y)."""
-    return _alpha_beta_matrix(Fraction(x, x + y), Fraction(y, x + y))
 
 
 class Termination(enum.Enum):
@@ -94,15 +89,15 @@ def classify_2x2(
 ) -> TerminationClass:
     """Decide, exactly, how many scaling steps A needs: 0, 1, 2, or infinity.
 
-    The column-first conditions are tested in integers on the reduced
-    numerators and denominators, cross-multiplied: with a = na/da and so
-    on, ab = cd iff na*nb*dc*dd == nc*nd*da*db, and ad = bc likewise. A
-    row-first call runs them on A^T (b and c swapped) and takes the
-    mirrored variant and param key. Fractions are built only for the
-    params and limit of a finite verdict. Overlapping conditions resolve
-    toward the shorter length (column-first, equal rows are both rank one
-    and a one-step form: one step). The engine's verdict on A itself, run
-    to 3 steps, validates the result before it is returned.
+    The length comes from the engine's closed rule, _two_step_length, on
+    the integer matrix A diag(da*dc, db*dd), with a = na/da and so on: a
+    column step absorbs any column scaling, so its iterates are A's from
+    step 1 on. A row-first call uses A^T (b and c swapped) and the mirrored
+    variant and param key. Where both identities hold, the rule says 1,
+    and L = 0 is tested on that verdict only, since a doubly stochastic A
+    has ab = cd. Fractions are built only for the params and limit of a
+    finite verdict. The engine's verdict on A itself, run to 3 steps,
+    validates the result before it is returned.
     """
     a, b, c, d = _require_exact_2x2(A)
     one_step, one_key, two_step, two_key = _NAMES[start_side]
@@ -110,16 +105,19 @@ def classify_2x2(
         b, c = c, b
     na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
     nc, dc, nd, dd = c.numerator, c.denominator, d.numerator, d.denominator
-    if a == d and b == c and na * db + nb * da == da * db:
+    x, y = na * dc, nc * da  # the integer matrix's first column
+    steps = _two_step_length(((x, nb * dd), (y, nd * db)), StartSide.COLUMN_FIRST)
+    if steps == 1 and a == d and b == c and na * db + nb * da == da * db:
         # A is symmetric here, so it is its own transpose
         verdict = TerminationClass(Termination.ALREADY_DOUBLY_STOCHASTIC, start_side, {}, A)
-    elif na * nb * dc * dd == nc * nd * da * db:
+    elif steps == 1:
         params = {"a": a, one_key: c, "t": Fraction(nb * dc, db * nc)}
-        verdict = TerminationClass(one_step, start_side, params, _swapped_limit(na * dc, nc * da))
-    elif na * nd * db * dc == nb * nc * da * dd:
+        limit = _alpha_beta_matrix(Fraction(x, x + y), Fraction(y, x + y))
+        verdict = TerminationClass(one_step, start_side, params, limit)
+    elif steps == 2:
         # proportional rows (p q; pt qt): the column step equalizes the
         # columns, the row step flattens them
-        params = {"p": a, two_key: b, "t": Fraction(nc * da, dc * na)}
+        params = {"p": a, two_key: b, "t": Fraction(y, x)}
         verdict = TerminationClass(two_step, start_side, params, _FLAT_LIMIT)
     else:
         verdict = TerminationClass(Termination.INFINITE, start_side, {}, None)

@@ -22,14 +22,14 @@ from .matrices import DiagonalScaling, PositiveMatrix, Scalar
 from .numerics import _clip, _echo, format_rational, rational_sqrt
 
 
-def _require_positive(**named) -> None:
-    """Raise unless every value is positive. The message renders an exact
-    value with format_rational, since its str() fails past the int-to-str
-    digit limit, and cuts it to 60 characters."""
+def _require_positive(what: str = "entry {}", /, **named) -> None:
+    """Raise unless every value is positive; what.format(name) names it. An
+    exact value is rendered with format_rational, since its str() fails
+    past the int-to-str digit limit, and cut to 60 characters."""
     for name, v in named.items():
         if v <= 0:
             shown = format_rational(v) if isinstance(v, (int, Fraction)) else repr(v)
-            raise ValueError(f"entry {name} must be positive, got {_clip(shown)}")
+            raise ValueError(f"{what.format(name)} must be positive, got {_clip(shown)}")
 
 
 def _alpha_beta_matrix(alpha: Scalar, beta: Scalar) -> PositiveMatrix:
@@ -187,8 +187,7 @@ def bordered_matrix(n: int, K: Scalar) -> PositiveMatrix:
     """The n x n all-ones matrix with the (1,1) entry replaced by K."""
     if n < 2:
         raise ValueError(f"bordered matrix needs n >= 2, got {n}")
-    if K <= 0:
-        raise ValueError(f"corner entry must be positive, got {K}")
+    _require_positive("corner entry", K=K)
     first = (K,) + (1,) * (n - 1)
     other = (1,) * n
     return PositiveMatrix((first,) + (other,) * (n - 1))
@@ -205,8 +204,7 @@ def bordered_limit(n: int, K: float) -> BorderedLimit:
     """
     if n < 3:
         raise ValueError(f"bordered limit needs n >= 3, got {n}")
-    if K <= 0:
-        raise ValueError(f"corner entry must be positive, got {K}")
+    _require_positive("corner entry", K=K)
     try:
         if K == 1:
             third = 1.0 / n

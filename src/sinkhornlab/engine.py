@@ -580,9 +580,9 @@ def _two_step_length(rows, start_side: StartSide):
     """The step at which the exact unit-margin run of a positive integer
     n x n matrix (n >= 2) first terminates: 1, 2, or None for never.
 
-    At n = 2 this is the paper's closed rule: a column-first run on
-    (a b; c d) terminates at step 1 iff ab = cd, at step 2 iff ad = bc,
-    and never otherwise.
+    At n = 2 this is the paper's closed rule, the one copy that `search`
+    and classify_2x2 use: a column-first run on (a b; c d) terminates at
+    step 1 iff ab = cd, at step 2 iff ad = bc, and never otherwise.
 
     At larger n, integers only, with no gcd. For a column-first run let
     c_j be the column sums, C = prod(c_j) and P_i = sum_j a_ij * (C / c_j),

@@ -227,7 +227,8 @@ class MarginTarget:
         object.__setattr__(self, "exact", r_exact)
 
     def __repr__(self) -> str:
-        return f"MarginTarget(r={list(self.row_targets)}, c={list(self.col_targets)})"
+        r, c = ([_render(x, self.exact) for x in v] for v in (self.row_targets, self.col_targets))
+        return f"MarginTarget(r=[{', '.join(r)}], c=[{', '.join(c)}])"
 
 
 def _render(x: Scalar, exact: bool) -> str:

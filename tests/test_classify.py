@@ -129,6 +129,12 @@ class TestSoundness:
         with pytest.raises(RuntimeError, match=r"^classifier/engine disagreement on .*: classified L=1, engine L=2$"):
             classify_2x2(M((1, 12), (3, 4)), StartSide.COLUMN_FIRST)
 
+    def test_a_wrong_closed_rule_is_an_error(self, monkeypatch):
+        # the engine's cross-check also guards the length the closed rule gives
+        monkeypatch.setattr(classify, "_two_step_length", lambda rows, side: 2)
+        with pytest.raises(RuntimeError, match=r"^classifier/engine disagreement on .*: classified L=2, engine L=1$"):
+            classify_2x2(M((1, 12), (3, 4)), StartSide.COLUMN_FIRST)
+
     @given(exact_matrices_2x2(), st.sampled_from(list(StartSide)))
     @settings(max_examples=200, deadline=None)
     def test_finite_verdicts_match_the_engine_exactly(self, A, side):

@@ -316,6 +316,14 @@ class TestBorderedMatrix:
         with pytest.raises(TypeError, match="not a scalar: True"):
             bordered_matrix(3, True)
 
+    @pytest.mark.parametrize("build", [bordered_matrix, bordered_limit])
+    def test_rejected_corner_is_named_and_clipped(self, build):
+        # str() of the Fraction fails past the int-to-str digit limit
+        with pytest.raises(ValueError, match=rf"^corner entry must be positive, got -1/1{'0' * 53}\.\.\.$"):
+            build(3, F(-1, 10**5000))
+        with pytest.raises(ValueError, match=r"^corner entry must be positive, got -2\.5$"):
+            build(3, -2.5)
+
 
 @pytest.mark.parametrize(
     "call, args, message",

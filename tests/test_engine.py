@@ -34,6 +34,7 @@ from sinkhornlab import (
     transpose,
 )
 from sinkhornlab import engine
+from sinkhornlab.classify import _LENGTHS
 from sinkhornlab.cli import trace_csv
 from sinkhornlab.engine import (
     _determinant,
@@ -45,6 +46,7 @@ from sinkhornlab.engine import (
 
 from .reference import (
     _reference_length,
+    classify_2x2_reference,
     determinant_reference,
     exact_sinkhorn_reference,
     scaling_invariance_check,
@@ -646,6 +648,8 @@ class TestSearch:
         keys = [h.matrix.entries for h in hits]
         assert all(a < b for a, b in zip(keys, keys[1:]))  # enumeration order, no repeats
         assert all(h.length == classify_2x2(h.matrix, side).length for h in hits)
+        # the classifier asks _two_step_length too, so also check the Fraction reference
+        assert all(h.length == _LENGTHS[classify_2x2_reference(h.matrix, side)[0]] for h in hits)
 
     @pytest.mark.parametrize("side", list(StartSide))
     def test_four_by_four_bound_two_catalog(self, side):

@@ -461,6 +461,14 @@ class TestMarginTarget:
         t = MarginTarget((1, 1), (1, 1))
         assert t.row_targets == (1, 1) and t.exact
 
+    def test_repr_renders_each_target(self):
+        assert repr(MarginTarget((1, F(1, 2)), (F(3, 4), F(3, 4)))) == "MarginTarget(r=[1, 1/2], c=[3/4, 3/4])"
+        assert repr(MarginTarget((1.0, 0.5), (0.75, 0.75))) == "MarginTarget(r=[1.0, 0.5], c=[0.75, 0.75])"
+        # str() of the Fraction fails past the int-to-str digit limit
+        tiny = F(1, 10**5000)
+        text = repr(IterationConfig(margin_target=MarginTarget((1, tiny), (tiny, 1))))
+        assert f"margin_target=MarginTarget(r=[1, 1/1{'0' * 5000}], c=[1/1{'0' * 5000}, 1])" in text
+
     def test_rejects_targets_in_two_regimes(self):
         with pytest.raises(RegimeError, match="row and column targets are in different regimes"):
             MarginTarget((1.0, 1.0), (1, 1))
