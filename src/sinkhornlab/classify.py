@@ -106,7 +106,7 @@ def classify_2x2(
     na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
     nc, dc, nd, dd = c.numerator, c.denominator, d.numerator, d.denominator
     x, y = na * dc, nc * da  # the integer matrix's first column
-    steps = _two_step_length(((x, nb * dd), (y, nd * db)), StartSide.COLUMN_FIRST)
+    steps = _two_step_length(((x, nb * dd), (y, nd * db)))
     if steps == 1 and a == d and b == c and na * db + nb * da == da * db:
         # A is symmetric here, so it is its own transpose
         verdict = TerminationClass(Termination.ALREADY_DOUBLY_STOCHASTIC, start_side, {}, A)

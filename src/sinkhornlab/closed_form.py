@@ -22,14 +22,17 @@ from .matrices import DiagonalScaling, PositiveMatrix, Scalar
 from .numerics import _clip, _echo, format_rational, rational_sqrt
 
 
+def _shown(v: Scalar) -> str:
+    """v for an error line, cut to 60 characters; format_rational renders
+    an exact v past the int-to-str digit limit, where str() fails."""
+    return _clip(format_rational(v) if isinstance(v, (int, Fraction)) else repr(v))
+
+
 def _require_positive(what: str = "entry {}", /, **named) -> None:
-    """Raise unless every value is positive; what.format(name) names it. An
-    exact value is rendered with format_rational, since its str() fails
-    past the int-to-str digit limit, and cut to 60 characters."""
+    """Raise unless every value is positive; what.format(name) names it."""
     for name, v in named.items():
         if v <= 0:
-            shown = format_rational(v) if isinstance(v, (int, Fraction)) else repr(v)
-            raise ValueError(f"{what.format(name)} must be positive, got {_clip(shown)}")
+            raise ValueError(f"{what.format(name)} must be positive, got {_shown(v)}")
 
 
 def _alpha_beta_matrix(alpha: Scalar, beta: Scalar) -> PositiveMatrix:
@@ -220,12 +223,12 @@ def bordered_limit(n: int, K: float) -> BorderedLimit:
         # n's bit length, since an int past the int-to-str limit has no repr
         floor = int(n).bit_length() - 1
         raise FloatRangeError(
-            f"bordered limit of n >= 2**{floor}, K = {K!r} leaves float range: n is too large"
+            f"bordered limit of n >= 2**{floor}, K = {_shown(K)} leaves float range: n is too large"
         ) from None
+    # alpha first: an exact K below float range makes alpha and float(K) 0.0
+    _require_float_range("bordered limit of n, K", (n, K), alpha=alpha, beta=beta, gamma=gamma)
     x1, x2 = math.sqrt(alpha / K), math.sqrt(gamma)
-    _require_float_range(
-        "bordered limit of n, K", (n, K), alpha=alpha, beta=beta, gamma=gamma, x1=x1, x2=x2
-    )
+    _require_float_range("bordered limit of n, K", (n, K), x1=x1, x2=x2)
     return BorderedLimit(n=n, K=K, alpha=alpha, beta=beta, gamma=gamma, x1=x1, x2=x2)
 
 

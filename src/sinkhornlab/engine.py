@@ -409,17 +409,14 @@ def _steps_until_doubly_stochastic(X: int, Y: int, k: int, kd: int, budget: int)
     (X, Y) -> (kd*X + k*Y, kd*(X + Y)) and the test X*X*kd == k*Y*Y are
     homogeneous in it: no gcd is taken, and X and Y grow by about the
     bit size of kappa per step. Every step up to the budget is tested,
-    with no early exit: the at-most-two-steps theorem is checked against
-    this loop, not used by it. Returns the number of further steps
-    needed (0 if already doubly stochastic), or None if more than
-    `budget` would be required.
+    with no early exit: the loop checks the at-most-two-steps theorem
+    that far. Returns the number of further steps needed (0 if already
+    doubly stochastic), or None if more than `budget` would be required.
     """
-    if X * X * kd == k * Y * Y:
-        return 0
-    for taken in range(1, budget + 1):
-        X, Y = kd * X + k * Y, kd * (X + Y)
+    for taken in range(budget + 1):
         if X * X * kd == k * Y * Y:
             return taken
+        X, Y = kd * X + k * Y, kd * (X + Y)
     return None
 
 
@@ -430,33 +427,33 @@ def termination_length_2x2(
 ) -> Optional[int]:
     """Steps after which the exact 2x2 iteration is doubly stochastic.
 
-    Returns None when that does not happen within max_steps. Integer
-    fast path equivalent to sinkhorn() in the exact regime (the tests
-    pin the two against each other); it exists because exhaustive sweeps
-    call this hundreds of thousands of times.
+    Returns None when that does not happen within max_steps, and answers
+    a budget past 64 as 64, since no run first terminates after step 2.
+    Integer fast path equivalent to sinkhorn() in the exact regime (the
+    tests pin the two against each other); it exists because exhaustive
+    sweeps call this hundreds of thousands of times.
 
-    The first step makes A = [[a, b], [c, d]] column stochastic, with
-    first-column odds x = a/c, or row stochastic, whose transpose has
-    x = a/b. From there _steps_until_doubly_stochastic iterates x with
-    the cross ratio kappa = ad/bc, which scaling keeps. Its cache key
-    holds x and kappa in lowest terms, so scaled copies of A that agree
-    after the first step share an entry.
+    A row-first call swaps b and c: a row-first run is the column-first
+    run of A^T. The first step makes A = [[a, b], [c, d]] column
+    stochastic, with first-column odds x = a/c. From there
+    _steps_until_doubly_stochastic iterates x with the cross ratio
+    kappa = ad/bc, which scaling keeps. Its cache key holds x and kappa
+    in lowest terms, so scaled copies of A that agree after the first
+    step share an entry.
     """
     a, b, c, d = _require_exact_2x2(A)
+    if start_side is StartSide.ROW_FIRST:
+        b, c = c, b
     # doubly stochastic iff d == a, c == b and a + b == 1
     if a == d and b == c and a + b == 1:
         return 0
-    if max_steps < 1:
-        return None
     na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
     nc, dc, nd, dd = c.numerator, c.denominator, d.numerator, d.denominator
-    if start_side is StartSide.COLUMN_FIRST:
-        X, Y = na * dc, da * nc
-    else:
-        X, Y = na * db, da * nb
+    X, Y = na * dc, da * nc
     k, kd = na * nd * db * dc, da * dd * nb * nc
     g, h = gcd(X, Y), gcd(k, kd)
-    rest = _steps_until_doubly_stochastic(X // g, Y // g, k // h, kd // h, max_steps - 1)
+    budget = min(max_steps, DEFAULT_MAX_STEPS_EXACT) - 1
+    rest = _steps_until_doubly_stochastic(X // g, Y // g, k // h, kd // h, budget)
     return None if rest is None else 1 + rest
 
 
@@ -485,16 +482,17 @@ def finite_termination_search(
 
     A terminating run has terminated by step 2, and one that first
     terminates at step 2 ends on a singular limit (the proof in
-    sinkhorn's docstring, with unit margins r = c = 1).
-
-    So whether a form terminates, and at which step, is an integer
-    identity on its entries: _two_step_length decides every form before
-    any Fraction is built, by the paper's closed rule at n = 2 and by
-    the general integer test at larger n. Only a hit form runs sinkhorn's
-    exact step loop, up to step 2 and without records or diagonals, which
-    gives its limit, must terminate at the step the integer test named,
-    and at L = 2 must end on a singular limit (AssertionError otherwise),
-    a determinant taken in integers (_integer_row, _determinant).
+    sinkhorn's docstring, with unit margins r = c = 1). So every form is
+    decided column-first, before any Fraction is built, by an integer
+    identity on its entries: _two_step_length, the paper's closed rule
+    at n = 2 and the general integer test at larger n. Only a hit form
+    runs sinkhorn's exact step loop, column-first, up to step 2 and
+    without records or diagonals; it gives the limit, must terminate at
+    the step the test named, and at L = 2 must end on a singular limit,
+    a determinant taken in integers (_integer_row, _determinant), or an
+    AssertionError names the form. F^T's row-first run is F's
+    column-first run transposed, and transposition maps orbits onto
+    orbits, so a row-first search transposes each hit form and its limit.
 
     Row and column scalings commute with row and column permutations:
     P @ A @ Q takes the same steps, with the same entry bit sizes, as A,
@@ -525,7 +523,6 @@ def finite_termination_search(
         )
     if any(f > candidate_cap for f in itertools.accumulate(range(1, n + 1), mul)):
         raise ValueError(f"the {n}! permutation orders exceed the cap of {candidate_cap}")
-    first_side = _side_of_step(start_side, 1)
     units = {"row": [(1, 1)] * n, "col": [(1, 1)] * n}
     # one getter per order permutes a row's entries, or a matrix's rows
     orders = [itemgetter(*p) for p in itertools.permutations(range(n))]
@@ -537,7 +534,7 @@ def finite_termination_search(
         return [list(map(fractions.__getitem__, row)) for row in rows]
 
     def orbit_hits(form, steps):
-        run = _exact_steps([[(v, 1) for v in row] for row in form], first_side, units)
+        run = _exact_steps([[(v, 1) for v in row] for row in form], "col", units)
         # no run first terminates after step 2 (the proof in sinkhorn's docstring)
         for step, (lines, side, row_gap, col_gap, _) in zip(range(3), run):
             if not row_gap[0] and not col_gap[0]:
@@ -548,6 +545,8 @@ def finite_termination_search(
         # a run that first terminates at step 2 ends on a singular limit
         if steps == 2 and _determinant(map(_integer_row, limit)) != 0:
             raise AssertionError(f"the exact run of {form} ends on a regular limit")
+        if start_side is StartSide.ROW_FIRST:
+            form, limit = tuple(zip(*form)), tuple(zip(*limit))
         column_forms = {}
         for q in orders:
             column_forms.setdefault(tuple(map(q, form)), tuple(map(q, limit)))
@@ -563,7 +562,7 @@ def finite_termination_search(
             if sorted(map(q, rows)) < rows:
                 break  # another column order gives this orbit a smaller form
         else:
-            steps = _two_step_length(form, start_side)
+            steps = _two_step_length(form)
             if steps is not None:
                 found += orbit_hits(form, steps)
     # entry order is enumeration order, and no two hits share entries
@@ -576,34 +575,30 @@ def finite_termination_search(
     return [SearchHit(PositiveMatrix(exact(member)), steps, limits[limit]) for member, steps, limit in found]
 
 
-def _two_step_length(rows, start_side: StartSide):
+def _two_step_length(rows):
     """The step at which the exact unit-margin run of a positive integer
-    n x n matrix (n >= 2) first terminates: 1, 2, or None for never.
+    n x n matrix (n >= 2), column-first, first terminates: 1, 2, or None
+    for never. A row-first run is the column-first run of the transpose.
 
     At n = 2 this is the paper's closed rule, the one copy that `search`
     and classify_2x2 use: a column-first run on (a b; c d) terminates at
     step 1 iff ab = cd, at step 2 iff ad = bc, and never otherwise.
 
-    At larger n, integers only, with no gcd. For a column-first run let
-    c_j be the column sums, C = prod(c_j) and P_i = sum_j a_ij * (C / c_j),
-    so that P_i / C is row i's sum after the column step: L = 1 iff every
-    P_i = C. Otherwise, with Q = prod(P_i), the row step leaves column j
-    with sum C * sum_i a_ij * (Q / P_i) / (c_j * Q), so L = 2 iff that is
-    1 for every j.
+    At larger n, integers only, with no gcd. Let c_j be the column sums,
+    C = prod(c_j) and P_i = sum_j a_ij * (C / c_j), so that P_i / C is
+    row i's sum after the column step: L = 1 iff every P_i = C.
+    Otherwise, with Q = prod(P_i), the row step leaves column j with sum
+    C * sum_i a_ij * (Q / P_i) / (c_j * Q), so L = 2 iff that is 1 for
+    every j.
 
     L = 0 cannot occur, since each row sums to at least n, and a run
     that has not terminated by step 2 never does (the two-step proof in
-    sinkhorn's docstring). A row-first run is the transposed column-first
-    run, which at n = 2 swaps b and c.
+    sinkhorn's docstring).
     """
     if len(rows) == 2:
         (a, b), (c, d) = rows
-        if start_side is StartSide.ROW_FIRST:
-            b, c = c, b
         return 1 if a * b == c * d else 2 if a * d == b * c else None
     cols = list(zip(*rows))
-    if start_side is StartSide.ROW_FIRST:
-        rows, cols = cols, rows
     c = [sum(col) for col in cols]
     C = prod(c)
     w = [C // cj for cj in c]

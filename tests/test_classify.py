@@ -131,7 +131,7 @@ class TestSoundness:
 
     def test_a_wrong_closed_rule_is_an_error(self, monkeypatch):
         # the engine's cross-check also guards the length the closed rule gives
-        monkeypatch.setattr(classify, "_two_step_length", lambda rows, side: 2)
+        monkeypatch.setattr(classify, "_two_step_length", lambda rows: 2)
         with pytest.raises(RuntimeError, match=r"^classifier/engine disagreement on .*: classified L=2, engine L=1$"):
             classify_2x2(M((1, 12), (3, 4)), StartSide.COLUMN_FIRST)
 

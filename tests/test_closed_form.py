@@ -198,15 +198,19 @@ class TestBordered:
         lim = bordered_limit(3, 1.0)
         assert lim.alpha == lim.beta == lim.gamma == pytest.approx(1 / 3, abs=1e-15)
 
-    @pytest.mark.parametrize("n,K,floor", [
-        (10**200, 2.0, 664), (10**400, 2.0, 1328), (10**400, 1.0, 1328),
-        (10**5000, 2.0, 16609),  # past the int-to-str limit: n has no repr
-        (1e200, 2.0, 664),
-    ], ids=["1e200-int", "1e400-int", "1e400-int-flat", "1e5000-int", "1e200-float"])
-    def test_n_past_float_range_raises_a_float_range_error(self, n, K, floor):
+    @pytest.mark.parametrize("n,K,floor,shown", [
+        (10**200, 2.0, 664, "2.0"), (10**400, 2.0, 1328, "2.0"), (10**400, 1.0, 1328, "1.0"),
+        (10**5000, 2.0, 16609, "2.0"),  # past the int-to-str limit: n has no repr
+        (1e200, 2.0, 664, "2.0"),
+        # an exact K is rendered as p/q, and clipped: K's denominator has no repr
+        (10**400, F(3, 2), 1328, "3/2"),
+        (10**400, F(1, 10**5000), 1328, "1/1" + "0" * 54 + "..."),
+    ], ids=["1e200-int", "1e400-int", "1e400-int-flat", "1e5000-int", "1e200-float",
+            "1e400-int-exact-K", "1e400-int-exact-K-past-the-digit-limit"])
+    def test_n_past_float_range_raises_a_float_range_error(self, n, K, floor, shown):
         # (n - 2)**2, and at 10**400 n itself, is too large for a float
         assert 2**floor <= n < 2 ** (floor + 1)
-        message = rf"^bordered limit of n >= 2\*\*{floor}, K = {K} leaves float range: n is too large$"
+        message = rf"^bordered limit of n >= 2\*\*{floor}, K = {re.escape(shown)} leaves float range: n is too large$"
         with pytest.raises(FloatRangeError, match=message):
             bordered_limit(n, K)
 
@@ -336,6 +340,8 @@ class TestBorderedMatrix:
         (limit_2x2_symmetric, (1e-200, 1e-200, 1e-200), "leaves float range: denominator = 0.0"),
         # an int past 40 digits is echoed clipped
         (bordered_limit, (10**150, 1e300), f"n, K = (1{'0' * 17}...{'0' * 19}, 1e+300) leaves float range: alpha = 0.0"),
+        # an exact K below float range: alpha and float(K) are both 0.0
+        (bordered_limit, (3, F(1, 10**400)), "leaves float range: alpha = 0.0"),
     ],
 )
 def test_float_closed_forms_outside_float_range_raise_a_value_error(call, args, message):

@@ -548,6 +548,20 @@ class TestTerminationLength2x2:
                 rule = None
             assert termination_length_2x2(A, side, budget) == rule
 
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize("rows", [((1, 2), (2, 1)), ((2, 6), (5, 15)), ((1, 2), (3, 4))])
+    def test_a_budget_past_the_default_answers_as_the_default(self, monkeypatch, rows, side):
+        # no run first terminates after step 2, so a budget of 10**9 runs
+        # the loop no further than the default budget does
+        def loop(*key):
+            assert key[-1] == DEFAULT_MAX_STEPS_EXACT - 1  # before a loop of 10**9 steps
+            return _steps_until_doubly_stochastic(*key)
+
+        A = M(*rows)
+        expected = termination_length_2x2(A, side)
+        monkeypatch.setattr(engine, "_steps_until_doubly_stochastic", loop)
+        assert termination_length_2x2(A, side, max_steps=10**9) == expected
+
     def test_column_scaled_copy_is_a_cache_hit(self):
         A = M((F(7, 11), F(13, 5)), (F(3, 17), F(19, 2)))
         scaled = M((F(7, 11) * 23, F(13, 5) / 29), (F(3, 17) * 23, F(19, 2) / 29))
@@ -731,7 +745,10 @@ class TestSearch:
 
     def test_three_by_three_bound_two_catalog(self):
         # a row step on A is a column step on its transpose: the row-first
-        # catalog is the column-first one transposed
+        # catalog is the column-first one transposed. The search builds the
+        # row-first catalog that way, so this compares the code with itself;
+        # the independent row-first checks are the per-candidate
+        # _reference_search cases and the per-hit row-first sinkhorn runs above
         by_column = finite_termination_search(3, 2, start_side=StartSide.COLUMN_FIRST)
         by_row = finite_termination_search(3, 2, start_side=StartSide.ROW_FIRST)
         assert {(transpose(h.matrix), h.length, transpose(h.limit)) for h in by_column} == {
@@ -742,23 +759,25 @@ class TestSearch:
     @pytest.mark.parametrize("n", [2, 3])
     def test_a_one_step_hit_named_two_raises(self, monkeypatch, n, side):
         # each hit's exact run must terminate at the step the integer test named
-        monkeypatch.setattr(engine, "_two_step_length", lambda rows, s: {1: 2}.get(_two_step_length(rows, s)))
+        monkeypatch.setattr(engine, "_two_step_length", lambda rows: {1: 2}.get(_two_step_length(rows)))
         with pytest.raises(AssertionError) as info:
             finite_termination_search(n, 2, start_side=side)
         assert str(info.value) == f"the exact run of {((1,) * n,) * n} does not terminate at step 2"
 
-    def test_a_two_step_hit_named_one_raises(self, monkeypatch):
-        def one_for_two(rows, side):
-            steps = _two_step_length(rows, side)
+    @pytest.mark.parametrize("side", list(StartSide))
+    def test_a_two_step_hit_named_one_raises(self, monkeypatch, side):
+        # both sides decide and confirm the same column-first forms
+        def one_for_two(rows):
+            steps = _two_step_length(rows)
             return 1 if steps == 2 else steps
 
         monkeypatch.setattr(engine, "_two_step_length", one_for_two)
         with pytest.raises(AssertionError) as info:
-            finite_termination_search(2, 2)
+            finite_termination_search(2, 2, start_side=side)
         assert str(info.value) == "the exact run of ((1, 1), (2, 2)) does not terminate at step 1"
 
     def test_a_miss_named_a_hit_raises(self, monkeypatch):
-        monkeypatch.setattr(engine, "_two_step_length", lambda rows, side: _two_step_length(rows, side) or 2)
+        monkeypatch.setattr(engine, "_two_step_length", lambda rows: _two_step_length(rows) or 2)
         with pytest.raises(AssertionError) as info:
             finite_termination_search(2, 2)
         assert str(info.value) == "the exact run of ((1, 1), (1, 2)) does not terminate at step 2"
@@ -773,7 +792,7 @@ class TestSearch:
     def test_the_checks_hold_under_python_O(self):
         probe = (
             "import sinkhornlab.engine as e\n"
-            "e._two_step_length = lambda rows, side: 2\n"
+            "e._two_step_length = lambda rows: 2\n"
             "e.finite_termination_search(2, 2)\n"
         )
         run = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True)
@@ -903,11 +922,14 @@ def _engine_length(A, side):
 
 def _verdicts_checked_against_the_engine(rows):
     """The integer verdicts on rows from both sides, each checked against
-    a two-step exact run."""
+    a two-step exact run: the row-first verdict is the rule's on the
+    transpose."""
     A = PositiveMatrix([[F(x) for x in row] for row in rows])
-    verdicts = {}
+    verdicts = {
+        StartSide.COLUMN_FIRST: _two_step_length(rows),
+        StartSide.ROW_FIRST: _two_step_length(list(zip(*rows))),
+    }
     for side in StartSide:
-        verdicts[side] = _two_step_length(rows, side)
         assert verdicts[side] == _engine_length(A, side), (rows, side)
     return verdicts
 
@@ -925,7 +947,8 @@ class TestTwoStepLength:
         scale = lcm(*(x.denominator for row in A.entries for x in row))
         rows = [[int(x * scale) for x in row] for row in A.entries]
         assert _verdicts_checked_against_the_engine(rows)[StartSide.COLUMN_FIRST] == 2
-        assert _two_step_length(list(zip(*rows)), StartSide.ROW_FIRST) == 2
+        transposed = PositiveMatrix([[F(x) for x in col] for col in zip(*rows)])
+        assert _engine_length(transposed, StartSide.ROW_FIRST) == 2
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_seeded_integer_matrices(self, n):
