@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import DiagonalScaling, PositiveMatrix, Scalar
-from .numerics import _clip, _echo, format_rational, rational_sqrt
+from .numerics import _clip, format_rational, rational_sqrt
 
 
 def _shown(v: Scalar) -> str:
@@ -47,10 +47,10 @@ class FloatRangeError(ValueError):
 
 def _require_float_range(what: str, args: tuple, **named: float) -> None:
     """Raise FloatRangeError unless every named value is positive and
-    finite. The message echoes each argument clipped, through _echo."""
+    finite. The message renders each argument with _shown."""
     for name, v in named.items():
         if not 0 < v < math.inf:
-            shown = ", ".join(map(_echo, args))
+            shown = ", ".join(map(_shown, args))
             raise FloatRangeError(f"{what} = ({shown}) leaves float range: {name} = {v!r}")
 
 
@@ -209,14 +209,18 @@ def bordered_limit(n: int, K: float) -> BorderedLimit:
         raise ValueError(f"bordered limit needs n >= 3, got {n}")
     _require_positive("corner entry", K=K)
     try:
+        k = float(K)
+    except OverflowError:  # raises: an exact K past float range
+        _require_float_range("bordered limit of n, K", (n, K), K=math.inf)
+    try:
         if K == 1:
             third = 1.0 / n
             return BorderedLimit(
                 n=n, K=K, alpha=third, beta=third, gamma=third,
                 x1=math.sqrt(third), x2=math.sqrt(third),
             )
-        disc = 4.0 * (n - 1) * K + (n - 2) ** 2
-        alpha = 2.0 * K / (2.0 * K + n - 2 + math.sqrt(disc))
+        disc = 4.0 * (n - 1) * k + (n - 2) ** 2
+        alpha = 2.0 * k / (2.0 * k + n - 2 + math.sqrt(disc))
         beta = (1 - alpha) / (n - 1)
         gamma = (n - 2 + alpha) / (n - 1) ** 2
     except OverflowError:  # n, or its square, past float range
@@ -227,7 +231,7 @@ def bordered_limit(n: int, K: float) -> BorderedLimit:
         ) from None
     # alpha first: an exact K below float range makes alpha and float(K) 0.0
     _require_float_range("bordered limit of n, K", (n, K), alpha=alpha, beta=beta, gamma=gamma)
-    x1, x2 = math.sqrt(alpha / K), math.sqrt(gamma)
+    x1, x2 = math.sqrt(alpha / k), math.sqrt(gamma)
     _require_float_range("bordered limit of n, K", (n, K), x1=x1, x2=x2)
     return BorderedLimit(n=n, K=K, alpha=alpha, beta=beta, gamma=gamma, x1=x1, x2=x2)
 

@@ -214,6 +214,22 @@ class TestBordered:
         with pytest.raises(FloatRangeError, match=message):
             bordered_limit(n, K)
 
+    @pytest.mark.parametrize("K", [F(10**400), 10**400, F(10**5000, 3)], ids=["exact", "int", "past-the-digit-limit"])
+    def test_exact_k_past_float_range_is_named(self, K):
+        # float(K) overflows: K leaves float range, not n
+        message = rf"^bordered limit of n, K = \(3, 1{'0' * 56}\.\.\.\) leaves float range: K = inf$"
+        with pytest.raises(FloatRangeError, match=message):
+            bordered_limit(3, K)
+
+    def test_an_exact_k_past_the_digit_limit_is_rendered_the_same_on_every_call(self):
+        # reprlib named each Fraction past the digit limit by its address
+        messages = set()
+        for _ in range(2):
+            with pytest.raises(FloatRangeError) as raised:
+                bordered_limit(3, F(1, 10**5000))
+            messages.add(str(raised.value))
+        assert messages == {f"bordered limit of n, K = (3, 1/1{'0' * 54}...) leaves float range: alpha = 0.0"}
+
     def test_n_of_a_hundred_and_one_digits_is_in_range(self):
         lim = bordered_limit(10**100, 2.0)
         assert (lim.alpha, lim.beta, lim.gamma) == pytest.approx((2e-100, 1e-100, 1e-100), rel=1e-12)
@@ -338,8 +354,8 @@ class TestBorderedMatrix:
         (limit_2x2, (1e-300, 0.5, 1e-300, 1.0), "leaves float range: denominator = 0.0"),
         (limit_2x2, (1e300, 1.0, 1.0, 1e300), "leaves float range: alpha = nan"),
         (limit_2x2_symmetric, (1e-200, 1e-200, 1e-200), "leaves float range: denominator = 0.0"),
-        # an int past 40 digits is echoed clipped
-        (bordered_limit, (10**150, 1e300), f"n, K = (1{'0' * 17}...{'0' * 19}, 1e+300) leaves float range: alpha = 0.0"),
+        # an int is rendered as format_rational renders it, cut to 60 characters
+        (bordered_limit, (10**150, 1e300), f"n, K = (1{'0' * 56}..., 1e+300) leaves float range: alpha = 0.0"),
         # an exact K below float range: alpha and float(K) are both 0.0
         (bordered_limit, (3, F(1, 10**400)), "leaves float range: alpha = 0.0"),
     ],

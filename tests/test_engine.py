@@ -3,6 +3,7 @@ import itertools
 import random
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -442,6 +443,55 @@ class TestLongExactRuns:
         assert res.status is Status.MAX_STEPS_REACHED
 
 
+#: the acceptance sweep's 23 rationals p/q, with p and q in 1..6
+SWEEP_RATIONALS = sorted({F(p, q) for p in range(1, 7) for q in range(1, 7)})
+
+
+class TestOddsSteps:
+    """The 2x2 unit-margin steps on the odds map against the general exact
+    steps, step by step: the same lines, sides and factors, and gaps equal
+    as Fractions, for 100 steps from either side."""
+
+    @staticmethod
+    def _assert_same_steps(rows, side):
+        pairs = [_pairs(row) for row in rows]
+        expected = engine._exact_steps(pairs, side, engine._UNIT_2X2)
+        for step, got, want in zip(range(101), engine._odds_steps(pairs, side), expected):
+            assert (got[0], got[1], got[4]) == (want[0], want[1], want[4]), (rows, side, step)
+            assert [F(*gap) for gap in got[2:4]] == [F(*gap) for gap in want[2:4]], (rows, side, step)
+
+    @pytest.mark.parametrize("side", ["col", "row"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((F(2, 5), F(3, 5)), (F(3, 5), F(2, 5))),  # L = 0
+            ((1, 12), (3, 4)),  # L = 1 column-first: ab = cd
+            ((2, 3), (6, 4)),  # L = 1 row-first: ac = bd
+            ((2, 6), (5, 15)),  # L = 2: kappa = 1
+            ((1, 1), (1, 1)),  # L = 1 and kappa = 1
+            A_SLOW,  # never terminates
+        ],
+    )
+    def test_finite_forms(self, rows, side):
+        self._assert_same_steps([list(map(F, row)) for row in rows], side)
+
+    @pytest.mark.parametrize("side", ["col", "row"])
+    @pytest.mark.parametrize(
+        "values",
+        [SWEEP_RATIONALS, [F(p, q) for p in range(1, 65) for q in range(1, 65)]],
+        ids=["sweep", "1..64/1..64"],
+    )
+    def test_seeded_inputs(self, values, side):
+        rng = random.Random(f"odds-{len(values)}-{side}")
+        for _ in range(30):
+            a, b, c, d = (rng.choice(values) for _ in range(4))
+            p = a / (1 + a)
+            # a free form, the three finite forms on a, b, c, and a doubly stochastic one
+            for last in (d, b * c / a, a * b / c, a * c / b):
+                self._assert_same_steps([[a, b], [c, last]], side)
+            self._assert_same_steps([[p, 1 - p], [1 - p, p]], side)
+
+
 class TestInvariance:
     def test_identity_scalings_give_zero_deviation(self):
         A = M((1.0, 3.0), (3.0, 4.0))
@@ -813,8 +863,11 @@ class TestSearch:
 
     @pytest.mark.parametrize("n", [100, 10_000])
     def test_candidate_cap_never_builds_the_count(self, n):
+        # 3 ** (10_000 ** 2) takes minutes to build; the guard answers at once
+        start = time.perf_counter()
         with pytest.raises(ValueError, match=rf"^enumeration of 3\^{n * n} candidates exceeds the cap"):
             finite_termination_search(n, 3)
+        assert time.perf_counter() - start < 1.0
 
     def test_candidate_cap_boundary(self):
         # 2^16 candidates: the shortcut refuses a 16-bit cap, and the power

@@ -399,6 +399,10 @@ class TestStochasticity:
         assert not is_doubly_stochastic(M((F(1, 4), F(3, 7)), (F(3, 4), F(4, 7))), tol=0)
         assert is_doubly_stochastic(M((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))), tol=0)
 
+    def test_exact_default_tolerance_is_zero(self):
+        # every row and column of the all-ones matrix sums to 2, one off its target
+        assert not is_doubly_stochastic(M((1, 1), (1, 1)))
+
     def test_exact_regime_requires_zero_tolerance(self):
         with pytest.raises(ValueError):
             is_doubly_stochastic(M((1, 2), (3, 4)), tol=1e-9)
