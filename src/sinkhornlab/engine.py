@@ -19,8 +19,11 @@ Two regimes:
   carries the largest numerator/denominator bit size so the blow-up is
   observable. The default exact budget is 64 steps.
 
-Every run records a per-step trace of margin errors; matrix snapshots
-are captured only on request since exact iterates can grow large.
+Both regimes run under one driver, `sinkhorn`, which records every
+step, takes both exits and holds the step budget; each regime only
+yields its steps (_float_steps, _exact_run). Every run records a
+per-step trace of margin errors; matrix snapshots are captured only on
+request since exact iterates can grow large.
 """
 
 from __future__ import annotations
@@ -105,12 +108,6 @@ class SinkhornResult:
     trace: tuple[TraceRecord, ...]
 
 
-def _side_of_step(start_side: StartSide, step: int) -> str:
-    if start_side is StartSide.COLUMN_FIRST:
-        return "col" if step % 2 == 1 else "row"
-    return "row" if step % 2 == 1 else "col"
-
-
 def sinkhorn(
     A: PositiveMatrix,
     cfg: IterationConfig | None = None,
@@ -119,13 +116,15 @@ def sinkhorn(
 ) -> SinkhornResult:
     """Run the alternating scaling iteration on A.
 
-    The loop has two exits: the first step whose iterate meets every
-    margin (exactly in the exact regime, TERMINATED_FINITE; within
-    cfg.tolerance otherwise, CONVERGED), and cfg.max_steps scalings
-    (MAX_STEPS_REACHED). Margins default to all ones; set
-    cfg.margin_target for (r, c) scaling. The accumulated left/right
-    diagonals satisfy left @ A @ right == limit (exactly for Fraction
-    entries, to rounding for floats).
+    One driver runs both regimes, over the steps of _float_steps or of
+    _exact_run: it records every step and holds the loop's two exits,
+    the first step whose iterate meets every margin (exactly in the
+    exact regime, TERMINATED_FINITE; within cfg.tolerance otherwise,
+    CONVERGED), and cfg.max_steps scalings (MAX_STEPS_REACHED), an int
+    >= 1. Margins default to all ones; set cfg.margin_target for (r, c)
+    scaling. The accumulated left/right diagonals satisfy
+    left @ A @ right == limit (exactly for Fraction entries, to rounding
+    for floats).
 
     An exact run that terminates does so by step 2, for any targets
     (r, c) and any shape: one that has not by then never does. Proof:
@@ -145,15 +144,8 @@ def sinkhorn(
     are linearly dependent: a square S is singular.
 
     An exact run computes on reduced integer pairs, not Fractions (see
-    _exact_steps, and _odds_steps for a 2x2 A with unit margins); its
-    records, limit and diagonals are the Fractions the same loop in
-    Fraction arithmetic would give. Of its diagonals it accumulates only
-    the first column's coordinate, formed once from the step factors
-    when the run returns; the limit then gives every other coordinate
-    exactly (see _exact_sinkhorn). An exact step meets its own side's
-    targets exactly, so the margin test after it computes only the other
-    side's sums and records the side just scaled with error exactly 0.
-    Step 0, and every float step, computes both sides.
+    _exact_run); its records, limit and diagonals are the Fractions the
+    same loop in Fraction arithmetic would give.
     """
     cfg = cfg or IterationConfig()
     if cfg.margin_target is None and A.rows != A.cols:
@@ -166,41 +158,66 @@ def sinkhorn(
     max_steps = cfg.max_steps
     if max_steps is None:
         max_steps = DEFAULT_MAX_STEPS_EXACT if A.exact else DEFAULT_MAX_STEPS_APPROX
+    # a budget the step count cannot equal would never be met
+    if not isinstance(max_steps, int):
+        raise ValueError(f"max_steps must be an int, got {max_steps!r}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    if A.exact:
-        return _exact_sinkhorn(A, cfg.start_side, max_steps, r_t, c_t, capture_matrices)
+    first = "col" if cfg.start_side is StartSide.COLUMN_FIRST else "row"
+    run, met = (_exact_run, Status.TERMINATED_FINITE) if A.exact else (_float_steps, Status.CONVERGED)
 
+    records: list[TraceRecord] = []
+    for step, (side, row_err, col_err, bits, matrix, finish) in enumerate(
+        run(A, first, r_t, c_t, capture_matrices)
+    ):
+        records.append(TraceRecord(step, side, row_err, col_err, bits, matrix))
+        if row_err <= tolerance and col_err <= tolerance:
+            status = met
+            break
+        if step == max_steps:
+            status = Status.MAX_STEPS_REACHED
+            break
+
+    limit, left_accum, right_accum = finish()
+    return SinkhornResult(
+        limit=limit,
+        left_accum=left_accum,
+        right_accum=right_accum,
+        steps_taken=step,
+        status=status,
+        trace=tuple(records),
+    )
+
+
+# Each regime's steps, as sinkhorn's loop reads them: at step 0 and after
+# each step, without end, the side just scaled ("-" at step 0), the
+# largest row and column margin errors, the largest entry's bit size
+# (exact only), the iterate when snapshots are captured, and one callable
+# that builds the validated limit and both diagonals from the current step.
+
+_OTHER_SIDE = {"row": "col", "col": "row"}
+
+
+def _float_steps(A, side: str, r_t, c_t, capture_matrices):
+    """The float steps from A, the first scaling `side`: every step
+    computes both sides' sums, then scales the iterate and one diagonal."""
     m, n = A.rows, A.cols
     cur = [list(row) for row in A.entries]
     left = [1.0] * m
     right = [1.0] * n
 
-    records: list[TraceRecord] = []
+    def finish():
+        return _validated(cur, left, right, step)
+
+    scaled = "-"
     for step in itertools.count():
         rsums = [sum(row) for row in cur]
         row_err = max(map(abs, map(sub, rsums, r_t)))
         csums = [sum(col) for col in zip(*cur)]
         col_err = max(map(abs, map(sub, csums, c_t)))
-        records.append(
-            TraceRecord(
-                step=step,
-                side="-" if step == 0 else _side_of_step(cfg.start_side, step),
-                max_row_err=row_err,
-                max_col_err=col_err,
-                max_entry_bits=None,
-                matrix=PositiveMatrix(cur) if capture_matrices else None,
-            )
-        )
-        if row_err <= tolerance and col_err <= tolerance:
-            status = Status.CONVERGED
-            break
-        if step == max_steps:
-            status = Status.MAX_STEPS_REACHED
-            break
+        yield scaled, row_err, col_err, None, PositiveMatrix(cur) if capture_matrices else None, finish
         if step >= 64 and step & (step - 1) == 0:
             _validated(cur, left, right, step)
-        side = _side_of_step(cfg.start_side, step + 1)
         try:
             if side == "col":
                 factors = [c_t[j] / csums[j] for j in range(n)]
@@ -218,16 +235,7 @@ def sinkhorn(
             # only float sums reach 0: a whole line underflowed, so _validated raises
             _validated(cur, left, right, step)
             raise
-
-    limit, left_accum, right_accum = _validated(cur, left, right, step)
-    return SinkhornResult(
-        limit=limit,
-        left_accum=left_accum,
-        right_accum=right_accum,
-        steps_taken=step,
-        status=status,
-        trace=tuple(records),
-    )
+        scaled, side = side, _OTHER_SIDE[side]
 
 
 def _validated(cur, left, right, step: int):
@@ -247,16 +255,15 @@ def _validated(cur, left, right, step: int):
         raise type(exc)(f"iteration left float range by step {step}: {exc}") from None
 
 
-# --- the exact loop, on reduced integer pairs ---------------------------------
-
-_OTHER_SIDE = {"row": "col", "col": "row"}
-
-
-def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices):
-    """sinkhorn's exact regime, on the steps of _exact_steps, or of
+def _exact_run(A, first: str, r_t, c_t, capture_matrices):
+    """The exact steps from A, on those of _exact_steps, or of
     _odds_steps at 2x2 with unit targets. Fractions are built only for
     what the run returns: each record's errors and snapshot (one shared
     0 for a met side), the limit and both diagonals.
+
+    An exact step meets its own side's targets exactly, so the margin
+    test after it computes only the other side's sums and records the
+    side just scaled with error exactly 0; step 0 computes both.
 
     The run keeps only the first column coordinate r_0's step factors and
     multiplies them out once, with a single gcd. The exact limit
@@ -267,44 +274,29 @@ def _exact_sinkhorn(A, start_side, max_steps, r_t, c_t, capture_matrices):
     targets = {"row": _pairs(r_t), "col": _pairs(c_t)}
     # the factors of r_0, after a 1 that keeps it at 1 when no step scaled columns
     r0_factors = [(1, 1)]
-    rows, first = list(map(_pairs, A.entries)), _side_of_step(start_side, 1)
+    rows = list(map(_pairs, A.entries))
     run = _odds_steps(rows, first) if targets == _UNIT_2X2 else _exact_steps(rows, first, targets)
     zero = Fraction(0)
-    records: list[TraceRecord] = []
-    for step, (lines, side, row_gap, col_gap, factors) in enumerate(run):
+
+    def finish():
+        limit = _fraction_rows(lines, side)
+        r0 = Fraction(*map(prod, zip(*r0_factors)))
+        left = [s[0] / (a[0] * r0) for s, a in zip(limit, A.entries)]
+        right = [s / (a * left[0]) for s, a in zip(limit[0], A.entries[0])]
+        return PositiveMatrix(limit), DiagonalScaling(left), DiagonalScaling(right)
+
+    for lines, side, row_gap, col_gap, factors in run:
         if factors and side == "row":  # the step just taken scaled columns
             r0_factors.append(factors[0])
-        # the bit size of the largest numerator or denominator
-        bits = max(map(max, itertools.chain.from_iterable(lines))).bit_length()
-        records.append(
-            TraceRecord(
-                step=step,
-                side="-" if step == 0 else _side_of_step(start_side, step),
-                max_row_err=Fraction(*row_gap) if row_gap[0] else zero,
-                max_col_err=Fraction(*col_gap) if col_gap[0] else zero,
-                max_entry_bits=bits,
-                matrix=PositiveMatrix(_fraction_rows(lines, side)) if capture_matrices else None,
-            )
+        yield (
+            _OTHER_SIDE[side] if factors else "-",
+            Fraction(*row_gap) if row_gap[0] else zero,
+            Fraction(*col_gap) if col_gap[0] else zero,
+            # the bit size of the largest numerator or denominator
+            max(map(max, itertools.chain.from_iterable(lines))).bit_length(),
+            PositiveMatrix(_fraction_rows(lines, side)) if capture_matrices else None,
+            finish,
         )
-        if not row_gap[0] and not col_gap[0]:
-            status = Status.TERMINATED_FINITE
-            break
-        if step == max_steps:
-            status = Status.MAX_STEPS_REACHED
-            break
-
-    limit = _fraction_rows(lines, side)
-    r0 = Fraction(*map(prod, zip(*r0_factors)))
-    left = [s[0] / (a[0] * r0) for s, a in zip(limit, A.entries)]
-    right = [s / (a * left[0]) for s, a in zip(limit[0], A.entries[0])]
-    return SinkhornResult(
-        limit=PositiveMatrix(limit),
-        left_accum=DiagonalScaling(left),
-        right_accum=DiagonalScaling(right),
-        steps_taken=step,
-        status=status,
-        trace=tuple(records),
-    )
 
 
 def _exact_steps(rows, side: str, targets):

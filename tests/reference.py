@@ -7,6 +7,8 @@ from sinkhornlab import (
     DiagonalScaling,
     IterationConfig,
     MarginTarget,
+    NonFiniteEntryError,
+    NonPositiveEntryError,
     PositiveMatrix,
     StartSide,
     Termination,
@@ -110,6 +112,69 @@ def exact_sinkhorn_reference(
             cur = [[x * fi for x in row] for row, fi in zip(cur, f)]
             left = [x * fi for x, fi in zip(left, f)]
     return records, False, step, cur, left, right
+
+
+def float_sinkhorn_reference(
+    A: PositiveMatrix,
+    start_side: StartSide,
+    max_steps: int,
+    target: MarginTarget | None = None,
+    tolerance: float = 1e-12,
+    capture_matrices: bool = False,
+):
+    """The float alternating scaling loop, as one plain function.
+
+    Returns (records, converged, steps, limit, left, right). A record is
+    (step, side, max_row_err, max_col_err, snapshot), the snapshot a
+    PositiveMatrix when capture_matrices is set, else None; limit is a
+    PositiveMatrix, left and right are DiagonalScalings. Sums run
+    through the builtin sum in row and zip order, and each factor
+    multiplies entries and diagonals, as in the engine, so the floats
+    agree bit for bit on any Python. The iterate is validated at steps
+    64, 128, 256, ..., after a division by a zero sum and at the end; a
+    zero or infinite entry raises the engine's "iteration left float
+    range by step k" error.
+    """
+    m, n = A.rows, A.cols
+    r_t = target.row_targets if target else (1.0,) * m
+    c_t = target.col_targets if target else (1.0,) * n
+    cur = [list(row) for row in A.entries]
+    left, right = [1.0] * m, [1.0] * n
+    odd, even = ("col", "row") if start_side is StartSide.COLUMN_FIRST else ("row", "col")
+
+    def validated(step):
+        try:
+            return PositiveMatrix(cur), DiagonalScaling(left), DiagonalScaling(right)
+        except (NonPositiveEntryError, NonFiniteEntryError) as exc:
+            raise type(exc)(f"iteration left float range by step {step}: {exc}") from None
+
+    records = []
+    for step in range(max_steps + 1):
+        rsums = [sum(row) for row in cur]
+        csums = [sum(col) for col in zip(*cur)]
+        row_err = max(abs(s - t) for s, t in zip(rsums, r_t))
+        col_err = max(abs(s - t) for s, t in zip(csums, c_t))
+        side = "-" if step == 0 else odd if step % 2 else even
+        snapshot = PositiveMatrix(cur) if capture_matrices else None
+        records.append((step, side, row_err, col_err, snapshot))
+        converged = row_err <= tolerance and col_err <= tolerance
+        if converged or step == max_steps:
+            break
+        if step >= 64 and bin(step).count("1") == 1:
+            validated(step)
+        try:
+            if (even if step % 2 else odd) == "col":
+                f = [t / s for t, s in zip(c_t, csums)]
+                cur = [[x * fj for x, fj in zip(row, f)] for row in cur]
+                right = [x * fj for x, fj in zip(right, f)]
+            else:
+                f = [t / s for t, s in zip(r_t, rsums)]
+                cur = [[x * fi for x in row] for row, fi in zip(cur, f)]
+                left = [x * fi for x, fi in zip(left, f)]
+        except ZeroDivisionError:
+            validated(step)
+            raise
+    return (records, converged, step, *validated(step))
 
 
 def determinant_reference(rows) -> Fraction:

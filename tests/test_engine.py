@@ -50,6 +50,7 @@ from .reference import (
     classify_2x2_reference,
     determinant_reference,
     exact_sinkhorn_reference,
+    float_sinkhorn_reference,
     scaling_invariance_check,
 )
 from .strategies import (
@@ -214,6 +215,90 @@ class TestApproximateIteration:
 def test_zero_step_budget_is_rejected(A):
     with pytest.raises(ValueError, match=r"^max_steps must be >= 1, got 0$"):
         sinkhorn(A, IterationConfig(max_steps=0))
+
+
+@pytest.mark.parametrize(
+    "A", [M((1, 2), (3, 4)), M((2.0, 1e-3), (1e-3, 1.0))], ids=["exact", "approx"]
+)
+def test_non_integer_step_budget_is_rejected(A):
+    # no step count equals 2.5: the exact run never returned, the float one
+    # ran on to convergence at step 14,143
+    with pytest.raises(ValueError, match=r"^max_steps must be an int, got 2\.5$"):
+        sinkhorn(A, IterationConfig(max_steps=2.5))
+
+
+class TestFloatReference:
+    """The float loop against float_sinkhorn_reference, the same loop as
+    one plain function: equal records, snapshots, limit, diagonals, step
+    count and status, and the same error where the iterate leaves float
+    range. Both sum in the same order, so they agree on every Python."""
+
+    @staticmethod
+    def _assert_matches(A, side, budget, target=None, tolerance=1e-12, capture=False):
+        cfg = IterationConfig(start_side=side, max_steps=budget, tolerance=tolerance, margin_target=target)
+        res = sinkhorn(A, cfg, capture_matrices=capture)
+        records, converged, steps, limit, left, right = float_sinkhorn_reference(
+            A, side, budget, target, tolerance, capture
+        )
+        assert [(r.step, r.side, r.max_row_err, r.max_col_err, r.matrix) for r in res.trace] == records
+        assert all(r.max_entry_bits is None for r in res.trace)
+        assert res.status is (Status.CONVERGED if converged else Status.MAX_STEPS_REACHED)
+        assert (res.steps_taken, res.limit, res.left_accum, res.right_accum) == (steps, limit, left, right)
+        return res
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_seeded_square_inputs(self, n, side):
+        rng = random.Random(f"float-reference-{n}-{side.value}")
+        for k in range(6):
+            rows = [[10 ** rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]
+            res = self._assert_matches(M(*rows), side, 10_000, capture=k == 0)
+            assert res.status is Status.CONVERGED
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    def test_seeded_targets(self, side):
+        rng = random.Random(f"float-reference-targets-{side.value}")
+        for k in range(12):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[10 ** rng.uniform(-1, 1) for _ in range(n)] for _ in range(m)]
+            r = [float(rng.randint(1, 4)) for _ in range(m)]
+            c = [float(rng.randint(1, 4)) for _ in range(n)]
+            # equal totals: move the difference onto the smaller side's first target
+            gap = sum(r) - sum(c)
+            (c if gap > 0 else r)[0] += abs(gap)
+            self._assert_matches(M(*rows), side, 500, MarginTarget(r, c), capture=k % 3 == 0)
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize(
+        "budget,tolerance,capture", [(65, 1e-12, True), (129, 1e-12, False), (300, 0.0, False)]
+    )
+    def test_budgets_past_the_periodic_checks(self, budget, tolerance, capture, side):
+        # 14,143 steps to converge: every budget here is spent, past the
+        # iterate's validation at step 64, at 128 for 129 and 300, and at
+        # 256 for 300
+        res = self._assert_matches(M((2.0, 1e-3), (1e-3, 1.0)), side, budget, None, tolerance, capture)
+        assert (res.status, res.steps_taken) == (Status.MAX_STEPS_REACHED, budget)
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1e-300, 1e-300), (1e300, 1e300)),
+            ((1e-300, 1e300), (1e300, 1e-300)),
+            ((1e300, 1e-300), (1e-300, 1e-300)),
+        ],
+    )
+    def test_leaving_float_range(self, rows, side):
+        try:
+            float_sinkhorn_reference(M(*rows), side, 10_000)
+        except NonPositiveEntryError as want:
+            with pytest.raises(NonPositiveEntryError) as got:
+                sinkhorn(M(*rows), IterationConfig(start_side=side))
+            assert (type(got.value), str(got.value)) == (type(want), str(want))
+        else:
+            # row-first, the first input's row step leaves every entry 1/2
+            assert (rows, side) == (((1e-300, 1e-300), (1e300, 1e300)), StartSide.ROW_FIRST)
+            self._assert_matches(M(*rows), side, 10_000)
 
 
 class TestRcScaling:
