@@ -21,7 +21,10 @@ Two regimes:
 
 Both regimes run under one driver, `sinkhorn`, which records every
 step, takes both exits and holds the step budget; each regime only
-yields its steps (_float_steps, _exact_run). Every run records a
+yields its steps (_float_steps, _exact_run). A float 2x2 runs on
+_float_steps_2x2, which holds the iterate as four floats and gives the
+same floats as _float_steps: each sum there is the builtin sum of two
+terms, and sum([x, y]) is x + y on every Python. Every run records a
 per-step trace of margin errors; matrix snapshots are captured only on
 request since exact iterates can grow large.
 """
@@ -116,8 +119,9 @@ def sinkhorn(
 ) -> SinkhornResult:
     """Run the alternating scaling iteration on A.
 
-    One driver runs both regimes, over the steps of _float_steps or of
-    _exact_run: it records every step and holds the loop's two exits,
+    One driver runs both regimes, over the steps of _float_steps (of
+    _float_steps_2x2 on 2x2 input: the same floats, on four scalars) or
+    of _exact_run: it records every step and holds the loop's two exits,
     the first step whose iterate meets every margin (exactly in the
     exact regime, TERMINATED_FINITE; within cfg.tolerance otherwise,
     CONVERGED), and cfg.max_steps scalings (MAX_STEPS_REACHED), an int
@@ -164,7 +168,12 @@ def sinkhorn(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     first = "col" if cfg.start_side is StartSide.COLUMN_FIRST else "row"
-    run, met = (_exact_run, Status.TERMINATED_FINITE) if A.exact else (_float_steps, Status.CONVERGED)
+    if A.exact:
+        run, met = _exact_run, Status.TERMINATED_FINITE
+    elif (A.rows, A.cols) == (2, 2):
+        run, met = _float_steps_2x2, Status.CONVERGED
+    else:
+        run, met = _float_steps, Status.CONVERGED
 
     records: list[TraceRecord] = []
     for step, (side, row_err, col_err, bits, matrix, finish) in enumerate(
@@ -207,7 +216,7 @@ def _float_steps(A, side: str, r_t, c_t, capture_matrices):
     right = [1.0] * n
 
     def finish():
-        return _validated(cur, left, right, step)
+        return _validated(step, cur, left, right)
 
     scaled = "-"
     for step in itertools.count():
@@ -215,9 +224,9 @@ def _float_steps(A, side: str, r_t, c_t, capture_matrices):
         row_err = max(map(abs, map(sub, rsums, r_t)))
         csums = [sum(col) for col in zip(*cur)]
         col_err = max(map(abs, map(sub, csums, c_t)))
-        yield scaled, row_err, col_err, None, PositiveMatrix(cur) if capture_matrices else None, finish
+        yield scaled, row_err, col_err, None, _validated(step, cur)[0] if capture_matrices else None, finish
         if step >= 64 and step & (step - 1) == 0:
-            _validated(cur, left, right, step)
+            finish()
         try:
             if side == "col":
                 factors = [c_t[j] / csums[j] for j in range(n)]
@@ -232,14 +241,57 @@ def _float_steps(A, side: str, r_t, c_t, capture_matrices):
                     cur[i] = [x * fi for x in cur[i]]
                 left = [l * f for l, f in zip(left, factors)]
         except ZeroDivisionError:
-            # only float sums reach 0: a whole line underflowed, so _validated raises
-            _validated(cur, left, right, step)
+            # only float sums reach 0: a whole line underflowed, so finish() raises
+            finish()
             raise
         scaled, side = side, _OTHER_SIDE[side]
 
 
-def _validated(cur, left, right, step: int):
-    """The iterate and both diagonals as validated values.
+def _float_steps_2x2(A, side: str, r_t, c_t, capture_matrices):
+    """_float_steps on 2x2 input, with the iterate held as four floats
+    and each diagonal as two: every sum, error, factor, product and
+    validation is the same operation on the same operands, so every
+    record, snapshot, limit, diagonal and error is the same.
+
+    A two-term builtin sum, sum([x, y]), is x + y on every Python: up to
+    3.11 sum adds each float to 0.0 in turn, and from 3.12 on it adds
+    back a Neumaier compensation, which for two terms is exactly the
+    rounding error of x + y, so x + y plus it rounds to x + y again (an
+    infinite or NaN compensation is not added).
+    """
+    (a, b), (c, d) = A.entries
+    (rt0, rt1), (ct0, ct1) = r_t, c_t
+    left0 = left1 = right0 = right1 = 1.0
+
+    def finish():
+        return _validated(step, ((a, b), (c, d)), (left0, left1), (right0, right1))
+
+    scaled = "-"
+    for step in itertools.count():
+        row0, row1, col0, col1 = a + b, c + d, a + c, b + d
+        e0, e1, g0, g1 = abs(row0 - rt0), abs(row1 - rt1), abs(col0 - ct0), abs(col1 - ct1)
+        snapshot = _validated(step, ((a, b), (c, d)))[0] if capture_matrices else None
+        # as max(x, y) does, take y only when y > x, NaN included
+        yield scaled, e1 if e1 > e0 else e0, g1 if g1 > g0 else g0, None, snapshot, finish
+        if step >= 64 and step & (step - 1) == 0:
+            finish()
+        try:
+            if side == "col":
+                f0, f1 = ct0 / col0, ct1 / col1
+                a, b, c, d = a * f0, b * f1, c * f0, d * f1
+                right0, right1 = right0 * f0, right1 * f1
+            else:
+                f0, f1 = rt0 / row0, rt1 / row1
+                a, b, c, d = a * f0, b * f0, c * f1, d * f1
+                left0, left1 = left0 * f0, left1 * f1
+        except ZeroDivisionError:
+            finish()
+            raise
+        scaled, side = side, _OTHER_SIDE[side]
+
+
+def _validated(step: int, cur, *diagonals):
+    """The iterate, and each diagonal given, as validated values.
 
     Float entries and diagonals can under- or overflow one at a time.
     Rather than check every entry every step, the loop runs this at
@@ -247,10 +299,11 @@ def _validated(cur, left, right, step: int):
     a zero or infinite entry never recovers, so a run that has one
     stops early with the same error it would reach at its budget.
     It also names a zero margin: a float sum of positive entries is 0.0
-    only when every entry of its line underflowed.
+    only when every entry of its line underflowed. A snapshot is the
+    iterate alone, validated here so that its error names the step too.
     """
     try:
-        return PositiveMatrix(cur), DiagonalScaling(left), DiagonalScaling(right)
+        return PositiveMatrix(cur), *map(DiagonalScaling, diagonals)
     except (NonPositiveEntryError, NonFiniteEntryError) as exc:
         raise type(exc)(f"iteration left float range by step {step}: {exc}") from None
 

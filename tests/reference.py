@@ -131,9 +131,9 @@ def float_sinkhorn_reference(
     through the builtin sum in row and zip order, and each factor
     multiplies entries and diagonals, as in the engine, so the floats
     agree bit for bit on any Python. The iterate is validated at steps
-    64, 128, 256, ..., after a division by a zero sum and at the end; a
-    zero or infinite entry raises the engine's "iteration left float
-    range by step k" error.
+    64, 128, 256, ..., after a division by a zero sum and at the end,
+    and each snapshot as it is taken; a zero or infinite entry raises
+    the engine's "iteration left float range by step k" error.
     """
     m, n = A.rows, A.cols
     r_t = target.row_targets if target else (1.0,) * m
@@ -142,8 +142,10 @@ def float_sinkhorn_reference(
     left, right = [1.0] * m, [1.0] * n
     odd, even = ("col", "row") if start_side is StartSide.COLUMN_FIRST else ("row", "col")
 
-    def validated(step):
+    def validated(step, snapshot=False):
         try:
+            if snapshot:
+                return PositiveMatrix(cur)
             return PositiveMatrix(cur), DiagonalScaling(left), DiagonalScaling(right)
         except (NonPositiveEntryError, NonFiniteEntryError) as exc:
             raise type(exc)(f"iteration left float range by step {step}: {exc}") from None
@@ -155,7 +157,7 @@ def float_sinkhorn_reference(
         row_err = max(abs(s - t) for s, t in zip(rsums, r_t))
         col_err = max(abs(s - t) for s, t in zip(csums, c_t))
         side = "-" if step == 0 else odd if step % 2 else even
-        snapshot = PositiveMatrix(cur) if capture_matrices else None
+        snapshot = validated(step, snapshot=True) if capture_matrices else None
         records.append((step, side, row_err, col_err, snapshot))
         converged = row_err <= tolerance and col_err <= tolerance
         if converged or step == max_steps:

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import random
+import struct
 import subprocess
 import sys
 import time
@@ -19,6 +20,7 @@ from sinkhornlab import (
     DimensionError,
     IterationConfig,
     MarginTarget,
+    NonFiniteEntryError,
     NonPositiveEntryError,
     PositiveMatrix,
     StartSide,
@@ -186,6 +188,26 @@ class TestApproximateIteration:
             sinkhorn(PositiveMatrix(rows))
         assert str(err.value).endswith("entry (128,128) is not positive: 0.0")
 
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1e-300, 1e300), (1e300, 1e-300)),
+            ((1e-300, 1e300, 1e300), (1e300, 1e-300, 1e300), (1e300, 1e300, 1e-300)),
+        ],
+        ids=["2x2", "3x3"],
+    )
+    def test_snapshot_leaving_float_range_is_a_named_error(self, rows, side):
+        # the snapshot of step 1 is the first iterate with a zero entry; the
+        # run without snapshots converges there and fails on its limit
+        cfg = IterationConfig(start_side=side)
+        with pytest.raises(NonPositiveEntryError) as plain:
+            sinkhorn(M(*rows), cfg)
+        with pytest.raises(NonPositiveEntryError) as captured:
+            sinkhorn(M(*rows), cfg, capture_matrices=True)
+        message = "iteration left float range by step 1: entry (1,1) is not positive: 0.0"
+        assert str(captured.value) == str(plain.value) == message
+
     def test_no_entry_bits_in_approximate_trace(self):
         res = sinkhorn(M((1.0, 3.0), (3.0, 4.0)))
         assert all(rec.max_entry_bits is None for rec in res.trace)
@@ -279,6 +301,7 @@ class TestFloatReference:
         res = self._assert_matches(M((2.0, 1e-3), (1e-3, 1.0)), side, budget, None, tolerance, capture)
         assert (res.status, res.steps_taken) == (Status.MAX_STEPS_REACHED, budget)
 
+    @pytest.mark.parametrize("capture", [False, True])
     @pytest.mark.parametrize("side", list(StartSide))
     @pytest.mark.parametrize(
         "rows",
@@ -286,19 +309,100 @@ class TestFloatReference:
             ((1e-300, 1e-300), (1e300, 1e300)),
             ((1e-300, 1e300), (1e300, 1e-300)),
             ((1e300, 1e-300), (1e-300, 1e-300)),
+            ((1e-300, 1e300, 1.0), (1e300, 1e-300, 1.0), (1.0, 1.0, 1e-300)),
         ],
     )
-    def test_leaving_float_range(self, rows, side):
+    def test_leaving_float_range(self, rows, side, capture):
         try:
-            float_sinkhorn_reference(M(*rows), side, 10_000)
+            float_sinkhorn_reference(M(*rows), side, 10_000, capture_matrices=capture)
         except NonPositiveEntryError as want:
             with pytest.raises(NonPositiveEntryError) as got:
-                sinkhorn(M(*rows), IterationConfig(start_side=side))
+                sinkhorn(M(*rows), IterationConfig(start_side=side), capture_matrices=capture)
             assert (type(got.value), str(got.value)) == (type(want), str(want))
+            assert str(want).startswith("iteration left float range by step ")
         else:
             # row-first, the first input's row step leaves every entry 1/2
             assert (rows, side) == (((1e-300, 1e-300), (1e300, 1e300)), StartSide.ROW_FIRST)
-            self._assert_matches(M(*rows), side, 10_000)
+            self._assert_matches(M(*rows), side, 10_000, capture=capture)
+
+
+def _float_bits(x):
+    return struct.pack("<d", x)
+
+
+class TestFloatSteps2x2:
+    """The 2x2 float steps on four scalars against the general float
+    steps, step by step: equal records, snapshots and finish() results,
+    and the same exception, for 300 steps from either side, past the
+    iterate's validation at steps 64, 128 and 256."""
+
+    @staticmethod
+    def _finished(finish):
+        try:
+            return finish()
+        except (NonPositiveEntryError, NonFiniteEntryError) as exc:
+            return type(exc), str(exc)
+
+    def _assert_same_steps(self, rows, side, r_t=(1.0, 1.0), c_t=(1.0, 1.0)):
+        A = M(*rows)
+        for capture in (False, True):
+            got = engine._float_steps_2x2(A, side, r_t, c_t, capture)
+            expected = engine._float_steps(A, side, r_t, c_t, capture)
+            for step in range(301):
+                try:
+                    want = next(expected)
+                except (NonPositiveEntryError, NonFiniteEntryError) as exc:
+                    with pytest.raises(type(exc)) as raised:
+                        next(got)
+                    assert str(raised.value) == str(exc), (rows, side, step)
+                    break
+                record = next(got)
+                # errors compared bit for bit, so that NaN matches NaN
+                assert [record[0], *map(_float_bits, record[1:3]), *record[3:5]] == [
+                    want[0], *map(_float_bits, want[1:3]), *want[3:5]
+                ], (rows, side, step)
+                assert self._finished(record[5]) == self._finished(want[5]), (rows, side, step)
+
+    @pytest.mark.parametrize("side", ["col", "row"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((2.0, 1e-3), (1e-3, 1.0)),  # 14,143 steps to converge
+            ((2.391, 0.26), (0.19, 9.172)),  # converges at step 259
+            ((1e-300, 1e-300), (1e300, 1e300)),  # a row sum of 0.0 row-first
+            ((1e-300, 1e300), (1e300, 1e-300)),  # underflows at step 1
+            ((1e300, 1e-300), (1e-300, 1e-300)),  # a zero entry, found at step 64
+            ((1.7976931348623157e308, 1.0), (1.0, 1.7976931348623157e308)),  # the largest float
+            ((1e308, 1e308), (1e308, 1e308)),  # sums overflow to inf, so every factor is 0.0
+        ],
+    )
+    def test_fixed_inputs(self, rows, side):
+        self._assert_same_steps(rows, side)
+
+    @pytest.mark.parametrize("targets", [False, True], ids=["unit", "rc"])
+    @pytest.mark.parametrize("side", ["col", "row"])
+    @pytest.mark.parametrize("span", [6, 300])
+    def test_seeded_inputs(self, span, side, targets):
+        rng = random.Random(f"float-2x2-{span}-{side}-{targets}")
+        for _ in range(12):
+            rows = [[10 ** rng.uniform(-span, span) for _ in range(2)] for _ in range(2)]
+            if targets:
+                r_t = [10 ** rng.uniform(-3, 3) for _ in range(2)]
+                c_t = [10 ** rng.uniform(-3, 3) for _ in range(2)]
+                c_t = [x * (sum(r_t) / sum(c_t)) for x in c_t]
+                self._assert_same_steps(rows, side, tuple(r_t), tuple(c_t))
+            else:
+                self._assert_same_steps(rows, side)
+
+    @given(
+        st.one_of(st.floats(min_value=0.0), st.just(float("nan"))),
+        st.one_of(st.floats(min_value=0.0), st.just(float("nan"))),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_two_term_sum_is_one_addition(self, x, y):
+        # the generator adds where _float_steps takes sum(); from Python
+        # 3.12 on sum() adds a compensation, which rounds away for two terms
+        assert _float_bits(x + y) == _float_bits(sum([x, y]))
 
 
 class TestRcScaling:
