@@ -19,13 +19,14 @@ Two regimes:
   carries the largest numerator/denominator bit size so the blow-up is
   observable. The default exact budget is 64 steps.
 
-Both regimes run under one driver, `sinkhorn`, which records every
-step, takes both exits and holds the step budget; each regime only
-yields its steps (_float_steps, _exact_run). A float 2x2 runs on
-_float_steps_2x2, which holds the iterate as four floats and gives the
-same floats as _float_steps: each sum there is the builtin sum of two
-terms, and sum([x, y]) is x + y on every Python. Every run records a
-per-step trace of margin errors; matrix snapshots are captured only on
+Both regimes run under one driver, `sinkhorn`, which keeps every
+step's raw values, takes both exits and holds the step budget; each
+regime only yields its steps (_float_steps, _exact_run). A float 2x2
+runs on _float_steps_2x2, which holds the iterate as four floats and
+gives the same floats as _float_steps: each sum there is the builtin sum
+of two terms, and sum([x, y]) is x + y on every Python. Every run has a
+per-step trace of margin errors, whose records are built on the first
+read of the result's `trace`; matrix snapshots are captured only on
 request since exact iterates can grow large.
 """
 
@@ -35,10 +36,10 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from operator import itemgetter, mul, sub
-from typing import Optional
+from typing import Callable, Optional
 
 from .matrices import (
     DiagonalScaling,
@@ -101,14 +102,45 @@ class TraceRecord:
     matrix: PositiveMatrix | None  # captured on request
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SinkhornResult:
+    """One run's limit, diagonals, step count, status and trace.
+
+    sinkhorn keeps each step's raw values in `_entries`; `_record` makes
+    one into its TraceRecord. `trace` builds every record on its first
+    read and returns that same tuple after, so a run whose trace is never
+    read builds none. Equality, hashing and repr cover the trace, as the
+    fields of a frozen dataclass with a `trace` field would.
+    """
+
     limit: PositiveMatrix
     left_accum: DiagonalScaling
     right_accum: DiagonalScaling
     steps_taken: int
     status: Status
-    trace: tuple[TraceRecord, ...]
+    _entries: list
+    _record: Callable
+
+    @cached_property
+    def trace(self) -> tuple[TraceRecord, ...]:
+        return tuple(itertools.starmap(self._record, enumerate(self._entries)))
+
+    _NAMES = ("limit", "left_accum", "right_accum", "steps_taken", "status", "trace")
+
+    def _values(self):
+        return self.limit, self.left_accum, self.right_accum, self.steps_taken, self.status, self.trace
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._NAMES, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 def sinkhorn(
@@ -121,14 +153,16 @@ def sinkhorn(
 
     One driver runs both regimes, over the steps of _float_steps (of
     _float_steps_2x2 on 2x2 input: the same floats, on four scalars) or
-    of _exact_run: it records every step and holds the loop's two exits,
-    the first step whose iterate meets every margin (exactly in the
-    exact regime, TERMINATED_FINITE; within cfg.tolerance otherwise,
-    CONVERGED), and cfg.max_steps scalings (MAX_STEPS_REACHED), an int
-    >= 1. Margins default to all ones; set cfg.margin_target for (r, c)
-    scaling. The accumulated left/right diagonals satisfy
-    left @ A @ right == limit (exactly for Fraction entries, to rounding
-    for floats).
+    of _exact_run: it keeps every step's raw values and holds the loop's
+    two exits, the first step whose iterate meets every margin (exactly
+    in the exact regime, TERMINATED_FINITE; within cfg.tolerance
+    otherwise, CONVERGED), and cfg.max_steps scalings
+    (MAX_STEPS_REACHED), an int >= 1. Margins default to all ones; set
+    cfg.margin_target for (r, c) scaling. The accumulated left/right
+    diagonals satisfy left @ A @ right == limit (exactly for Fraction
+    entries, to rounding for floats). The TraceRecords are built from
+    the kept values on the first read of the result's `trace`, not at
+    their steps; snapshots are built, and validated, at their steps.
 
     An exact run that terminates does so by step 2, for any targets
     (r, c) and any shape: one that has not by then never does. Proof:
@@ -162,25 +196,26 @@ def sinkhorn(
     max_steps = cfg.max_steps
     if max_steps is None:
         max_steps = DEFAULT_MAX_STEPS_EXACT if A.exact else DEFAULT_MAX_STEPS_APPROX
-    # a budget the step count cannot equal would never be met
-    if not isinstance(max_steps, int):
+    # a budget the step count cannot equal would never be met, and a bool
+    # is a flag, not a count
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int):
         raise ValueError(f"max_steps must be an int, got {max_steps!r}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     first = "col" if cfg.start_side is StartSide.COLUMN_FIRST else "row"
     if A.exact:
-        run, met = _exact_run, Status.TERMINATED_FINITE
+        run, record, met = _exact_run, _exact_record, Status.TERMINATED_FINITE
     elif (A.rows, A.cols) == (2, 2):
-        run, met = _float_steps_2x2, Status.CONVERGED
+        run, record, met = _float_steps_2x2, _float_record, Status.CONVERGED
     else:
-        run, met = _float_steps, Status.CONVERGED
+        run, record, met = _float_steps, _float_record, Status.CONVERGED
 
-    records: list[TraceRecord] = []
-    for step, (side, row_err, col_err, bits, matrix, finish) in enumerate(
+    entries = []
+    for step, (entry, row_met, col_met, finish) in enumerate(
         run(A, first, r_t, c_t, capture_matrices)
     ):
-        records.append(TraceRecord(step, side, row_err, col_err, bits, matrix))
-        if row_err <= tolerance and col_err <= tolerance:
+        entries.append(entry)
+        if row_met <= tolerance and col_met <= tolerance:
             status = met
             break
         if step == max_steps:
@@ -194,17 +229,44 @@ def sinkhorn(
         right_accum=right_accum,
         steps_taken=step,
         status=status,
-        trace=tuple(records),
+        _entries=entries,
+        _record=record,
     )
 
 
 # Each regime's steps, as sinkhorn's loop reads them: at step 0 and after
-# each step, without end, the side just scaled ("-" at step 0), the
-# largest row and column margin errors, the largest entry's bit size
-# (exact only), the iterate when snapshots are captured, and one callable
-# that builds the validated limit and both diagonals from the current step.
+# each step, without end, a raw entry, the two values its met test reads
+# and one callable that builds the validated limit and both diagonals
+# from the current step. The entry holds the side just scaled ("-" at
+# step 0), the largest row and column margin errors as the regime holds
+# them, what the entry bit size is taken from (exact only) and the
+# iterate when snapshots are captured; the regime's _*_record makes it a
+# TraceRecord.
 
 _OTHER_SIDE = {"row": "col", "col": "row"}
+
+
+def _float_record(step: int, entry) -> TraceRecord:
+    """A float step's record: its entry holds the errors as floats."""
+    return TraceRecord(step, *entry)
+
+
+_ZERO = Fraction(0)
+
+
+def _exact_record(step: int, entry) -> TraceRecord:
+    """An exact step's record: each gap, an unreduced (num, den) pair, as
+    a reduced Fraction (one shared 0 for a met side), and the bit size of
+    the largest numerator or denominator in the lines."""
+    side, row_gap, col_gap, lines, matrix = entry
+    return TraceRecord(
+        step,
+        side,
+        Fraction(*row_gap) if row_gap[0] else _ZERO,
+        Fraction(*col_gap) if col_gap[0] else _ZERO,
+        max(map(max, itertools.chain.from_iterable(lines))).bit_length(),
+        matrix,
+    )
 
 
 def _float_steps(A, side: str, r_t, c_t, capture_matrices):
@@ -224,7 +286,8 @@ def _float_steps(A, side: str, r_t, c_t, capture_matrices):
         row_err = max(map(abs, map(sub, rsums, r_t)))
         csums = [sum(col) for col in zip(*cur)]
         col_err = max(map(abs, map(sub, csums, c_t)))
-        yield scaled, row_err, col_err, None, _validated(step, cur)[0] if capture_matrices else None, finish
+        snapshot = _validated(step, cur)[0] if capture_matrices else None
+        yield (scaled, row_err, col_err, None, snapshot), row_err, col_err, finish
         if step >= 64 and step & (step - 1) == 0:
             finish()
         try:
@@ -272,7 +335,8 @@ def _float_steps_2x2(A, side: str, r_t, c_t, capture_matrices):
         e0, e1, g0, g1 = abs(row0 - rt0), abs(row1 - rt1), abs(col0 - ct0), abs(col1 - ct1)
         snapshot = _validated(step, ((a, b), (c, d)))[0] if capture_matrices else None
         # as max(x, y) does, take y only when y > x, NaN included
-        yield scaled, e1 if e1 > e0 else e0, g1 if g1 > g0 else g0, None, snapshot, finish
+        row_err, col_err = e1 if e1 > e0 else e0, g1 if g1 > g0 else g0
+        yield (scaled, row_err, col_err, None, snapshot), row_err, col_err, finish
         if step >= 64 and step & (step - 1) == 0:
             finish()
         try:
@@ -311,8 +375,10 @@ def _validated(step: int, cur, *diagonals):
 def _exact_run(A, first: str, r_t, c_t, capture_matrices):
     """The exact steps from A, on those of _exact_steps, or of
     _odds_steps at 2x2 with unit targets. Fractions are built only for
-    what the run returns: each record's errors and snapshot (one shared
-    0 for a met side), the limit and both diagonals.
+    what the run returns: each snapshot, the limit and both diagonals
+    here, and each record's errors when _exact_record builds it. An
+    entry keeps the unreduced gaps and the lines, and the met test reads
+    each gap's numerator, 0 exactly when the side meets its targets.
 
     An exact step meets its own side's targets exactly, so the margin
     test after it computes only the other side's sums and records the
@@ -329,7 +395,6 @@ def _exact_run(A, first: str, r_t, c_t, capture_matrices):
     r0_factors = [(1, 1)]
     rows = list(map(_pairs, A.entries))
     run = _odds_steps(rows, first) if targets == _UNIT_2X2 else _exact_steps(rows, first, targets)
-    zero = Fraction(0)
 
     def finish():
         limit = _fraction_rows(lines, side)
@@ -341,15 +406,9 @@ def _exact_run(A, first: str, r_t, c_t, capture_matrices):
     for lines, side, row_gap, col_gap, factors in run:
         if factors and side == "row":  # the step just taken scaled columns
             r0_factors.append(factors[0])
-        yield (
-            _OTHER_SIDE[side] if factors else "-",
-            Fraction(*row_gap) if row_gap[0] else zero,
-            Fraction(*col_gap) if col_gap[0] else zero,
-            # the bit size of the largest numerator or denominator
-            max(map(max, itertools.chain.from_iterable(lines))).bit_length(),
-            PositiveMatrix(_fraction_rows(lines, side)) if capture_matrices else None,
-            finish,
-        )
+        snapshot = PositiveMatrix(_fraction_rows(lines, side)) if capture_matrices else None
+        entry = _OTHER_SIDE[side] if factors else "-", row_gap, col_gap, lines, snapshot
+        yield entry, row_gap[0], col_gap[0], finish
 
 
 def _exact_steps(rows, side: str, targets):

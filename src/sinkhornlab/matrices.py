@@ -311,8 +311,15 @@ def apply_right(A: PositiveMatrix, D: DiagonalScaling) -> PositiveMatrix:
 def _resolve_tol(A: PositiveMatrix, tol: float | None) -> Scalar:
     if tol is None:
         return 0 if A.exact else DEFAULT_TOLERANCE
+    # a bool is a flag, not a bound; a value that does not compare is none
+    if isinstance(tol, bool):
+        raise ValueError(f"tolerance must be a real number, got {tol!r}")
+    try:
+        in_range = 0 <= tol < inf
+    except TypeError:
+        raise ValueError(f"tolerance must be a real number, got {tol!r}") from None
     # NaN is never met and inf is met by any input, so both are rejected
-    if not 0 <= tol < inf:
+    if not in_range:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     if A.exact and tol != 0:
         raise ValueError("exact regime requires tolerance 0")

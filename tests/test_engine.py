@@ -249,6 +249,26 @@ def test_non_integer_step_budget_is_rejected(A):
         sinkhorn(A, IterationConfig(max_steps=2.5))
 
 
+@pytest.mark.parametrize("A", [M((1, 2), (3, 4)), M((1.0, 2.0), (3.0, 4.0))], ids=["exact", "approx"])
+def test_bool_step_budget_is_rejected(A):
+    # a bool is an int: max_steps=True ran one step
+    with pytest.raises(ValueError, match=r"^max_steps must be an int, got True$"):
+        sinkhorn(A, IterationConfig(max_steps=True))
+
+
+@pytest.mark.parametrize(
+    "tol,shown", [(True, "True"), (False, "False"), ("x", "'x'"), (1j, "1j")], ids=repr
+)
+def test_non_real_tolerance_is_rejected(tol, shown):
+    # tolerance=True converged at tolerance 1.0, and 'x' raised a bare TypeError
+    A = M((1.0, 2.0), (3.0, 4.0))
+    message = rf"^tolerance must be a real number, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        sinkhorn(A, IterationConfig(tolerance=tol))
+    with pytest.raises(ValueError, match=message):
+        is_doubly_stochastic(A, tol=tol)
+
+
 class TestFloatReference:
     """The float loop against float_sinkhorn_reference, the same loop as
     one plain function: equal records, snapshots, limit, diagonals, step
@@ -332,9 +352,10 @@ def _float_bits(x):
 
 class TestFloatSteps2x2:
     """The 2x2 float steps on four scalars against the general float
-    steps, step by step: equal records, snapshots and finish() results,
-    and the same exception, for 300 steps from either side, past the
-    iterate's validation at steps 64, 128 and 256."""
+    steps, step by step: equal raw entries (side, errors, entry bits and
+    snapshot), met-test values and finish() results, and the same
+    exception, for 300 steps from either side, past the iterate's
+    validation at steps 64, 128 and 256."""
 
     @staticmethod
     def _finished(finish):
@@ -356,12 +377,17 @@ class TestFloatSteps2x2:
                         next(got)
                     assert str(raised.value) == str(exc), (rows, side, step)
                     break
-                record = next(got)
-                # errors compared bit for bit, so that NaN matches NaN
-                assert [record[0], *map(_float_bits, record[1:3]), *record[3:5]] == [
-                    want[0], *map(_float_bits, want[1:3]), *want[3:5]
+                entry, row_met, col_met, finish = next(got)
+                want_entry, want_row_met, want_col_met, want_finish = want
+                # errors and met-test values compared bit for bit, so that NaN matches NaN
+                assert [entry[0], *map(_float_bits, entry[1:3]), *entry[3:5]] == [
+                    want_entry[0], *map(_float_bits, want_entry[1:3]), *want_entry[3:5]
                 ], (rows, side, step)
-                assert self._finished(record[5]) == self._finished(want[5]), (rows, side, step)
+                assert len(entry) == len(want_entry) == 5
+                assert list(map(_float_bits, (row_met, col_met))) == list(
+                    map(_float_bits, (want_row_met, want_col_met))
+                ), (rows, side, step)
+                assert self._finished(finish) == self._finished(want_finish), (rows, side, step)
 
     @pytest.mark.parametrize("side", ["col", "row"])
     @pytest.mark.parametrize(
@@ -403,6 +429,96 @@ class TestFloatSteps2x2:
         # the generator adds where _float_steps takes sum(); from Python
         # 3.12 on sum() adds a compensation, which rounds away for two terms
         assert _float_bits(x + y) == _float_bits(sum([x, y]))
+
+
+_LAZY_CASES = {
+    "float-2x2": (((2.391, 0.26), (0.19, 9.172)), None, None),
+    "float-2x2-budget": (((2.0, 1e-3), (1e-3, 1.0)), 70, None),
+    "float-3x3-rc": (
+        ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 10.0)),
+        None,
+        MarginTarget((1.0, 2.0, 3.0), (2.0, 2.0, 2.0)),
+    ),
+    "exact-2x2-odds": (A_SLOW, None, None),
+    "exact-2x2-odds-terminating": (((1, 12), (3, 4)), None, None),
+    "exact-3x3": (((1, 2, 3), (4, 5, 6), (7, 8, 10)), 5, None),
+    "exact-3x3-terminating": (((1, 1, 1), (1, 1, 1), (2, 2, 2)), None, None),
+}
+
+
+class TestLazyTrace:
+    """sinkhorn keeps each step's raw values and builds its TraceRecords
+    on the first read of `trace`: none before, all of them once, and
+    records that agree with the exits the run took at their steps."""
+
+    @staticmethod
+    def _run(name, side, capture):
+        rows, budget, target = _LAZY_CASES[name]
+        cfg = IterationConfig(start_side=side, max_steps=budget, margin_target=target)
+        return sinkhorn(M(*rows), cfg, capture_matrices=capture)
+
+    @pytest.mark.parametrize("capture", [False, True])
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize("name", list(_LAZY_CASES))
+    def test_records_built_on_first_read(self, name, side, capture, monkeypatch):
+        built, record = [], engine.TraceRecord
+
+        def counted(*fields):
+            built.append(fields[0])
+            return record(*fields)
+
+        monkeypatch.setattr(engine, "TraceRecord", counted)
+        res = self._run(name, side, capture)
+        assert built == []
+        trace = res.trace
+        assert built == list(range(res.steps_taken + 1))
+        assert res.trace is trace
+        assert len(built) == len(trace)
+
+    @pytest.mark.parametrize("capture", [False, True])
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize("name", list(_LAZY_CASES))
+    def test_records_agree_with_the_exits(self, name, side, capture):
+        res = self._run(name, side, capture)
+        exact = name.startswith("exact")
+        tolerance = 0 if exact else 1e-12
+        assert [r.step for r in res.trace] == list(range(res.steps_taken + 1))
+        order = ("col", "row") if side is StartSide.COLUMN_FIRST else ("row", "col")
+        assert [r.side for r in res.trace] == ["-"] + [order[k % 2] for k in range(res.steps_taken)]
+        met = [r.max_row_err <= tolerance and r.max_col_err <= tolerance for r in res.trace]
+        assert met[:-1] == [False] * res.steps_taken
+        assert met[-1] is (res.status is not Status.MAX_STEPS_REACHED)
+        if exact:
+            assert all(r.max_entry_bits > 0 for r in res.trace)
+            # an exact step meets its own side's targets: error exactly 0
+            for r in res.trace[1:]:
+                assert (r.max_col_err if r.side == "col" else r.max_row_err) == 0
+        else:
+            assert all(r.max_entry_bits is None for r in res.trace)
+        if capture:
+            assert res.trace[0].matrix == M(*_LAZY_CASES[name][0])
+            assert res.trace[-1].matrix == res.limit
+        else:
+            assert all(r.matrix is None for r in res.trace)
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize("name", list(_LAZY_CASES))
+    def test_equality_hash_and_repr_cover_the_trace(self, name, side):
+        res, again = self._run(name, side, False), self._run(name, side, False)
+        assert res == again and hash(res) == hash(again)
+        captured = self._run(name, side, True)
+        # the same run with snapshots differs in its trace alone
+        assert (captured.limit, captured.left_accum, captured.right_accum) == (
+            res.limit, res.left_accum, res.right_accum
+        )
+        assert (captured.steps_taken, captured.status) == (res.steps_taken, res.status)
+        assert captured != res
+        assert res != object()
+        fields = (
+            f"limit={res.limit!r}, left_accum={res.left_accum!r}, right_accum={res.right_accum!r},"
+            f" steps_taken={res.steps_taken!r}, status={res.status!r}, trace={res.trace!r}"
+        )
+        assert repr(res) == f"SinkhornResult({fields})"
 
 
 class TestRcScaling:
