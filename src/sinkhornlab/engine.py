@@ -24,10 +24,14 @@ step's raw values, takes both exits and holds the step budget; each
 regime only yields its steps (_float_steps, _exact_run). A float 2x2
 runs on _float_steps_2x2, which holds the iterate as four floats and
 gives the same floats as _float_steps: each sum there is the builtin sum
-of two terms, and sum([x, y]) is x + y on every Python. Every run has a
+of two terms, and sum([x, y]) is x + y on every Python. A float step of
+any other shape takes the sums of the side it just scaled only when the
+other side is within tolerance and the run may stop. Every run has a
 per-step trace of margin errors, whose records are built on the first
-read of the result's `trace`; matrix snapshots are captured only on
-request since exact iterates can grow large.
+read of the result's `trace`; for a float run of any shape but 2x2 that
+read replays the run with every sum taken, for the errors it skipped.
+Matrix snapshots are captured only on request since exact iterates can
+grow large.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import gcd, lcm, prod
+from functools import cached_property, lru_cache, partial
+from math import gcd, inf, lcm, prod
 from operator import itemgetter, mul, sub
 from typing import Callable, Optional
 
@@ -106,11 +110,14 @@ class TraceRecord:
 class SinkhornResult:
     """One run's limit, diagonals, step count, status and trace.
 
-    sinkhorn keeps each step's raw values in `_entries`; `_record` makes
-    one into its TraceRecord. `trace` builds every record on its first
-    read and returns that same tuple after, so a run whose trace is never
-    read builds none. Equality, hashing and repr cover the trace, as the
-    fields of a frozen dataclass with a `trace` field would.
+    sinkhorn keeps each step's raw values in `_entries`; `_records` makes
+    them the TraceRecords. `trace` builds every record on its first read
+    and returns that same tuple after, so a run whose trace is never read
+    builds none. A float run of any shape but 2x2 kept no error for a
+    side a step had just scaled while the other side was above tolerance,
+    so that read runs it again with every sum taken (_float_replay), at
+    the cost of a second run. Equality, hashing and repr cover the trace, as the fields
+    of a frozen dataclass with a `trace` field would.
     """
 
     limit: PositiveMatrix
@@ -119,11 +126,11 @@ class SinkhornResult:
     steps_taken: int
     status: Status
     _entries: list
-    _record: Callable
+    _records: Callable
 
     @cached_property
     def trace(self) -> tuple[TraceRecord, ...]:
-        return tuple(itertools.starmap(self._record, enumerate(self._entries)))
+        return self._records(self._entries)
 
     _NAMES = ("limit", "left_accum", "right_accum", "steps_taken", "status", "trace")
 
@@ -162,7 +169,10 @@ def sinkhorn(
     diagonals satisfy left @ A @ right == limit (exactly for Fraction
     entries, to rounding for floats). The TraceRecords are built from
     the kept values on the first read of the result's `trace`, not at
-    their steps; snapshots are built, and validated, at their steps.
+    their steps. A float run of any shape but 2x2 skips the sums of the
+    side a step just scaled while the other side is above cfg.tolerance,
+    and that read replays it with every sum taken. Snapshots are built,
+    and validated, at their steps.
 
     An exact run that terminates does so by step 2, for any targets
     (r, c) and any shape: one that has not by then never does. Proof:
@@ -204,16 +214,17 @@ def sinkhorn(
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     first = "col" if cfg.start_side is StartSide.COLUMN_FIRST else "row"
     if A.exact:
-        run, record, met = _exact_run, _exact_record, Status.TERMINATED_FINITE
+        run = _exact_run(A, first, r_t, c_t, capture_matrices)
+        records, met = partial(_records, _exact_record), Status.TERMINATED_FINITE
     elif (A.rows, A.cols) == (2, 2):
-        run, record, met = _float_steps_2x2, _float_record, Status.CONVERGED
+        run = _float_steps_2x2(A, first, r_t, c_t, capture_matrices)
+        records, met = partial(_records, _float_record), Status.CONVERGED
     else:
-        run, record, met = _float_steps, _float_record, Status.CONVERGED
+        run = _float_steps(A, first, r_t, c_t, capture_matrices, tolerance)
+        records, met = partial(_float_replay, A, first, r_t, c_t), Status.CONVERGED
 
     entries = []
-    for step, (entry, row_met, col_met, finish) in enumerate(
-        run(A, first, r_t, c_t, capture_matrices)
-    ):
+    for step, (entry, row_met, col_met, finish) in enumerate(run):
         entries.append(entry)
         if row_met <= tolerance and col_met <= tolerance:
             status = met
@@ -230,7 +241,7 @@ def sinkhorn(
         steps_taken=step,
         status=status,
         _entries=entries,
-        _record=record,
+        _records=records,
     )
 
 
@@ -239,15 +250,20 @@ def sinkhorn(
 # and one callable that builds the validated limit and both diagonals
 # from the current step. The entry holds the side just scaled ("-" at
 # step 0), the largest row and column margin errors as the regime holds
-# them, what the entry bit size is taken from (exact only) and the
-# iterate when snapshots are captured; the regime's _*_record makes it a
-# TraceRecord.
+# them (None for one _float_steps skipped), what the entry bit size is
+# taken from (exact only) and the iterate when snapshots are captured;
+# the regime's _*_record, or _float_replay, makes it a TraceRecord.
 
 _OTHER_SIDE = {"row": "col", "col": "row"}
 
 
+def _records(record, entries) -> tuple[TraceRecord, ...]:
+    """Each entry made a TraceRecord by `record`, the regime's own."""
+    return tuple(itertools.starmap(record, enumerate(entries)))
+
+
 def _float_record(step: int, entry) -> TraceRecord:
-    """A float step's record: its entry holds the errors as floats."""
+    """A float 2x2 step's record: its entry holds the errors as floats."""
     return TraceRecord(step, *entry)
 
 
@@ -269,9 +285,19 @@ def _exact_record(step: int, entry) -> TraceRecord:
     )
 
 
-def _float_steps(A, side: str, r_t, c_t, capture_matrices):
-    """The float steps from A, the first scaling `side`: every step
-    computes both sides' sums, then scales the iterate and one diagonal."""
+def _float_steps(A, side: str, r_t, c_t, capture_matrices, tolerance=inf):
+    """The float steps from A, the first scaling `side`: each step takes
+    the sums of the side the next step scales, then scales the iterate
+    and one diagonal by their factors.
+
+    A step leaves the side it scaled on its targets up to rounding, so
+    that side's sums can change the run only when the other side's error
+    is not above `tolerance` (NaN included) and the met test may pass;
+    only then are they taken. Otherwise its met value is inf and the
+    entry keeps None for its error, which _float_replay fills in by
+    running these steps again at the default tolerance, inf, under which
+    every sum is taken. Step 0 takes both sides' sums.
+    """
     m, n = A.rows, A.cols
     cur = [list(row) for row in A.entries]
     left = [1.0] * m
@@ -282,23 +308,31 @@ def _float_steps(A, side: str, r_t, c_t, capture_matrices):
 
     scaled = "-"
     for step in itertools.count():
-        rsums = [sum(row) for row in cur]
-        row_err = max(map(abs, map(sub, rsums, r_t)))
-        csums = [sum(col) for col in zip(*cur)]
-        col_err = max(map(abs, map(sub, csums, c_t)))
+        if side == "col":
+            sums = list(map(sum, zip(*cur)))
+            col_err = col_met = max(map(abs, map(sub, sums, c_t)))
+            row_err, row_met = None, inf
+            if scaled == "-" or not col_err > tolerance:
+                row_err = row_met = max(map(abs, map(sub, map(sum, cur), r_t)))
+        else:
+            sums = list(map(sum, cur))
+            row_err = row_met = max(map(abs, map(sub, sums, r_t)))
+            col_err, col_met = None, inf
+            if scaled == "-" or not row_err > tolerance:
+                col_err = col_met = max(map(abs, map(sub, map(sum, zip(*cur)), c_t)))
         snapshot = _validated(step, cur)[0] if capture_matrices else None
-        yield (scaled, row_err, col_err, None, snapshot), row_err, col_err, finish
+        yield (scaled, row_err, col_err, None, snapshot), row_met, col_met, finish
         if step >= 64 and step & (step - 1) == 0:
             finish()
         try:
             if side == "col":
-                factors = [c_t[j] / csums[j] for j in range(n)]
+                factors = [c_t[j] / sums[j] for j in range(n)]
                 for row in cur:
                     for j in range(n):
                         row[j] *= factors[j]
                 right = [r * f for r, f in zip(right, factors)]
             else:
-                factors = [r_t[i] / rsums[i] for i in range(m)]
+                factors = [r_t[i] / sums[i] for i in range(m)]
                 for i in range(m):
                     fi = factors[i]
                     cur[i] = [x * fi for x in cur[i]]
@@ -308,6 +342,21 @@ def _float_steps(A, side: str, r_t, c_t, capture_matrices):
             finish()
             raise
         scaled, side = side, _OTHER_SIDE[side]
+
+
+def _float_replay(A, side: str, r_t, c_t, entries) -> tuple[TraceRecord, ...]:
+    """The records of a run of _float_steps, from its kept entries: the
+    errors of a second run of the same steps with every sum taken, equal
+    bit for bit to those the run took, and each entry's own side and
+    snapshot. zip stops at the last entry before it asks the second run
+    for another step, so that run takes no step the first did not."""
+    replay = _float_steps(A, side, r_t, c_t, False)
+    return tuple(
+        TraceRecord(step, scaled, row_err, col_err, None, snapshot)
+        for step, ((scaled, *_, snapshot), ((_, row_err, col_err, _, _), *_)) in enumerate(
+            zip(entries, replay)
+        )
+    )
 
 
 def _float_steps_2x2(A, side: str, r_t, c_t, capture_matrices):

@@ -1,3 +1,4 @@
+import builtins
 import importlib.util
 import itertools
 import random
@@ -8,7 +9,7 @@ import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm, prod
+from math import inf, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -346,23 +347,55 @@ class TestFloatReference:
             self._assert_matches(M(*rows), side, 10_000, capture=capture)
 
 
+@st.composite
+def _float_range_rows(draw):
+    n = draw(st.integers(2, 4))
+    entries = st.one_of(
+        st.floats(min_value=1e-300, max_value=1e300),
+        st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e),
+        st.sampled_from([1e-300, 1e300]),
+    )
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestFloatRangeEntries:
+    """Float entries anywhere in 1e-300..1e300 give a result, with its
+    trace, or the named error of an iterate that left float range; never
+    another exception."""
+
+    @given(_float_range_rows(), st.sampled_from(list(StartSide)), st.integers(1, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_a_result_or_a_named_error(self, rows, side, budget):
+        try:
+            res = sinkhorn(M(*rows), IterationConfig(start_side=side, max_steps=budget))
+            trace = res.trace
+        except (NonPositiveEntryError, NonFiniteEntryError) as exc:
+            assert str(exc).startswith("iteration left float range by step ")
+            return
+        assert res.status in (Status.CONVERGED, Status.MAX_STEPS_REACHED)
+        assert res.steps_taken <= budget and len(trace) == res.steps_taken + 1
+        last = trace[-1]
+        met = last.max_row_err <= 1e-12 and last.max_col_err <= 1e-12
+        assert met is (res.status is Status.CONVERGED)
+
+
 def _float_bits(x):
     return struct.pack("<d", x)
 
 
+def _finished(finish):
+    try:
+        return finish()
+    except (NonPositiveEntryError, NonFiniteEntryError) as exc:
+        return type(exc), str(exc)
+
+
 class TestFloatSteps2x2:
     """The 2x2 float steps on four scalars against the general float
-    steps, step by step: equal raw entries (side, errors, entry bits and
-    snapshot), met-test values and finish() results, and the same
-    exception, for 300 steps from either side, past the iterate's
-    validation at steps 64, 128 and 256."""
-
-    @staticmethod
-    def _finished(finish):
-        try:
-            return finish()
-        except (NonPositiveEntryError, NonFiniteEntryError) as exc:
-            return type(exc), str(exc)
+    steps with every sum taken, step by step: equal raw entries (side,
+    errors, entry bits and snapshot), met-test values and finish()
+    results, and the same exception, for 300 steps from either side, past
+    the iterate's validation at steps 64, 128 and 256."""
 
     def _assert_same_steps(self, rows, side, r_t=(1.0, 1.0), c_t=(1.0, 1.0)):
         A = M(*rows)
@@ -387,7 +420,7 @@ class TestFloatSteps2x2:
                 assert list(map(_float_bits, (row_met, col_met))) == list(
                     map(_float_bits, (want_row_met, want_col_met))
                 ), (rows, side, step)
-                assert self._finished(finish) == self._finished(want_finish), (rows, side, step)
+                assert _finished(finish) == _finished(want_finish), (rows, side, step)
 
     @pytest.mark.parametrize("side", ["col", "row"])
     @pytest.mark.parametrize(
@@ -431,13 +464,123 @@ class TestFloatSteps2x2:
         assert _float_bits(x + y) == _float_bits(sum([x, y]))
 
 
+class TestFloatStepsSkippedSums:
+    """_float_steps at a finite tolerance against the same steps with every
+    sum taken, the default infinite tolerance, step by step for 300 steps
+    from either side: each error both took has the same bits, a step skips
+    the error of the side it just scaled exactly when the other side's
+    error is above the tolerance (NaN is not), and then yields inf as its
+    met value, finish() gives the same result, and the same exception is
+    raised at the same step."""
+
+    @staticmethod
+    def _assert_same_steps(rows, side, tolerance, r_t=None, c_t=None, capture=False):
+        A = M(*rows)
+        r_t = r_t or (1.0,) * A.rows
+        c_t = c_t or (1.0,) * A.cols
+        got = engine._float_steps(A, side, r_t, c_t, capture, tolerance)
+        full = engine._float_steps(A, side, r_t, c_t, capture)
+        skipped = nan_kept = 0
+        for step in range(301):
+            try:
+                want = next(full)
+            except (NonPositiveEntryError, NonFiniteEntryError) as exc:
+                with pytest.raises(type(exc)) as raised:
+                    next(got)
+                assert str(raised.value) == str(exc), (rows, side, step)
+                break
+            entry, *met, finish = next(got)
+            want_entry, *want_met, want_finish = want
+            assert (entry[0], *entry[3:]) == (want_entry[0], *want_entry[3:]), (rows, side, step)
+            assert len(entry) == len(want_entry) == 5
+            scaled = entry[0]
+            for k, name in enumerate(("row", "col")):
+                other = want_entry[2 - k]
+                if step > 0 and name == scaled and other > tolerance:
+                    assert (entry[1 + k], _float_bits(met[k])) == (None, _float_bits(inf)), (rows, side, step)
+                    skipped += 1
+                else:
+                    # compared bit for bit, so that NaN matches NaN
+                    assert _float_bits(entry[1 + k]) == _float_bits(want_entry[1 + k]), (rows, side, step)
+                    assert _float_bits(met[k]) == _float_bits(want_met[k]), (rows, side, step)
+                    nan_kept += step > 0 and name == scaled and other != other
+            assert _finished(finish) == _finished(want_finish), (rows, side, step)
+        return skipped, nan_kept
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-12, 1e-3])
+    @pytest.mark.parametrize("side", ["col", "row"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_seeded_square_inputs(self, n, side, tolerance):
+        rng = random.Random(f"float-skipped-{n}-{side}-{tolerance}")
+        skipped = 0
+        for k in range(3):
+            rows = [[10 ** rng.uniform(-2, 2) for _ in range(n)] for _ in range(n)]
+            skipped += self._assert_same_steps(rows, side, tolerance, capture=k == 0)[0]
+        # a 1x1 input meets its margins after one step
+        assert skipped > 0 or n == 1
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-12, 1e-3])
+    @pytest.mark.parametrize("side", ["col", "row"])
+    def test_seeded_targets(self, side, tolerance):
+        rng = random.Random(f"float-skipped-targets-{side}-{tolerance}")
+        for k in range(12):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[10 ** rng.uniform(-2, 2) for _ in range(n)] for _ in range(m)]
+            r_t = [10 ** rng.uniform(-2, 2) for _ in range(m)]
+            c_t = [10 ** rng.uniform(-2, 2) for _ in range(n)]
+            c_t = [x * (sum(r_t) / sum(c_t)) for x in c_t]
+            self._assert_same_steps(rows, side, tolerance, tuple(r_t), tuple(c_t), capture=k % 4 == 0)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-12, 1e-3])
+    @pytest.mark.parametrize("side", ["col", "row"])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1e-300, 1e-300), (1e300, 1e300)),  # a row sum of 0.0 row-first
+            ((1e-300, 1e300), (1e300, 1e-300)),  # underflows at step 1
+            ((1e300, 1e-300), (1e-300, 1e-300)),  # a zero entry, found at step 64
+            ((1e-300, 1e300, 1.0), (1e300, 1e-300, 1.0), (1.0, 1.0, 1e-300)),
+            ((1e-300, 1e300, 1e300), (1e300, 1e-300, 1e300), (1e300, 1e300, 1e-300)),
+            ((1.7976931348623157e308, 1.0, 1.0), (1.0, 1.7976931348623157e308, 1.0), (1.0, 1.0, 1.0)),
+            ((1e308, 1e308, 1e308), (1e308, 1e308, 1e308), (1e308, 1e308, 1e308)),  # sums overflow
+        ],
+    )
+    def test_float_range_inputs(self, rows, side, tolerance):
+        for capture in (False, True):
+            self._assert_same_steps(rows, side, tolerance, capture=capture)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-12, 1e-3])
+    def test_a_nan_error_keeps_the_other_sides_sums(self, tolerance):
+        # column-first, the other side's error is NaN at steps 2 to 64, so
+        # each of those 63 steps takes both sides' sums, until the iterate's
+        # check at step 64 raises
+        skipped, nan_kept = self._assert_same_steps(((1e300, 1e16), (1e-50, 1e-300)), "col", tolerance)
+        assert (skipped, nan_kept) == (1, 63)
+
 _LAZY_CASES = {
     "float-2x2": (((2.391, 0.26), (0.19, 9.172)), None, None),
     "float-2x2-budget": (((2.0, 1e-3), (1e-3, 1.0)), 70, None),
+    "float-3x3": (((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 10.0)), None, None),
     "float-3x3-rc": (
         ((1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 10.0)),
         None,
         MarginTarget((1.0, 2.0, 3.0), (2.0, 2.0, 2.0)),
+    ),
+    "float-3x5-rc": (
+        ((0.5, 2.0, 3.0, 0.25, 1.0), (4.0, 0.5, 6.0, 2.0, 3.5), (7.0, 8.0, 0.1, 9.0, 1.5)),
+        None,
+        MarginTarget((1.0, 1.5, 2.5), (1.0, 1.0, 1.0, 1.0, 1.0)),
+    ),
+    "float-5x5": (
+        (
+            (1.0, 2.0, 3.0, 4.0, 5.0),
+            (2.5, 1.0, 0.5, 3.0, 4.0),
+            (9.0, 0.25, 1.0, 2.0, 0.5),
+            (0.1, 6.0, 2.0, 1.0, 3.0),
+            (4.0, 3.0, 7.0, 0.75, 1.0),
+        ),
+        None,
+        None,
     ),
     "exact-2x2-odds": (A_SLOW, None, None),
     "exact-2x2-odds-terminating": (((1, 12), (3, 4)), None, None),
@@ -520,6 +663,61 @@ class TestLazyTrace:
         )
         assert repr(res) == f"SinkhornResult({fields})"
 
+
+    @pytest.mark.parametrize("capture", [False, True])
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize("name", ["float-3x3", "float-3x3-rc", "float-3x5-rc", "float-5x5"])
+    def test_general_float_trace_is_the_full_steps(self, name, side, capture):
+        # the run skipped the sums of the side a step just scaled; the first
+        # read of its trace replays the run, with every sum taken
+        res = self._run(name, side, capture)
+        assert any(None in entry[1:3] for entry in res._entries)
+        rows, _, target = _LAZY_CASES[name]
+        A = M(*rows)
+        first = "col" if side is StartSide.COLUMN_FIRST else "row"
+        full = engine._float_steps(A, first, *engine._resolve_targets(A, target), capture)
+        expected = tuple(
+            engine.TraceRecord(step, *entry) for step, (entry, *_) in zip(range(res.steps_taken + 1), full)
+        )
+        trace = res.trace
+        assert trace == expected
+        errors = [_float_bits(e) for r in trace for e in (r.max_row_err, r.max_col_err)]
+        assert errors == [_float_bits(e) for r in expected for e in (r.max_row_err, r.max_col_err)]
+        assert res.trace is trace
+        values = (res.limit, res.left_accum, res.right_accum, res.steps_taken, res.status)
+        assert hash(res) == hash((*values, expected))
+        fields = (
+            f"limit={res.limit!r}, left_accum={res.left_accum!r}, right_accum={res.right_accum!r},"
+            f" steps_taken={res.steps_taken!r}, status={res.status!r}, trace={expected!r}"
+        )
+        assert repr(res) == f"SinkhornResult({fields})"
+        assert res == self._run(name, side, capture)
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize("name", ["float-3x3", "float-3x3-rc", "float-3x5-rc", "float-5x5"])
+    def test_a_general_float_run_sums_one_side_per_step(self, name, side, monkeypatch):
+        calls = []
+
+        def counted(line):
+            calls.append(line)
+            return builtins.sum(line)
+
+        monkeypatch.setattr(engine, "sum", counted, raising=False)
+        res = self._run(name, side, False)
+        taken = len(calls)
+        m, n = len(_LAZY_CASES[name][0]), len(_LAZY_CASES[name][0][0])
+        trace = res.trace
+        lines = {"row": m, "col": n}
+        # step 0 sums both sides, and every later step the side the next
+        # step scales; the side it just scaled only at the last step, where
+        # the other side is within tolerance
+        order = ("col", "row") if side is StartSide.COLUMN_FIRST else ("row", "col")
+        expected = m + n + sum(lines[order[k % 2]] for k in range(1, res.steps_taken + 1))
+        assert res.status is Status.CONVERGED and res.steps_taken > 10
+        assert taken == expected + lines[trace[-1].side]
+        # the first read of the trace replays the run with every sum taken,
+        # and a second read takes none
+        assert res.trace is trace and len(calls) - taken == (m + n) * len(trace)
 
 class TestRcScaling:
     def test_unit_targets_reproduce_plain_run_step_for_step(self):
