@@ -691,13 +691,15 @@ def finite_termination_search(
     smaller member, so the walk visits only the matrices with sorted
     rows (each a multiset of n rows) and skips one whenever some column
     order, followed by a row sort, gives a smaller matrix. Every orbit
-    keeps exactly one form. A hit form's orbit is then expanded: first
-    its distinct column orders F @ Q, each with the limit L @ Q (equal
-    forms have equal limits, by the argument above), then every row
-    order of each, P @ F @ Q with P @ L @ Q. Candidates of the other
-    orbits cost nothing. Limits stay integer pairs until the end, where
-    each distinct limit is built once and shared. Hits come in
-    enumeration order.
+    keeps exactly one form. At n = 2 the walk visits only the forms the
+    closed rule accepts (_two_by_two_forms), so its work grows with
+    bound^2 and the hits, not bound^4. A hit form's orbit is then
+    expanded: first its distinct column orders F @ Q, each with the
+    limit L @ Q (equal forms have equal limits, by the argument above),
+    then every row order of each, P @ F @ Q with P @ L @ Q. Candidates
+    of the other orbits cost nothing. Limits stay integer pairs until
+    the end, where each distinct limit is built once and shared. Hits
+    come in enumeration order.
     """
     if n < 2:
         raise ValueError(f"search needs n >= 2, got {n}")
@@ -743,8 +745,12 @@ def finite_termination_search(
 
     found = []
     other_orders = orders[1:]
-    row_values = itertools.product(range(1, bound + 1), repeat=n)
-    for form in itertools.combinations_with_replacement(row_values, n):
+    if n == 2:
+        forms = _two_by_two_forms(bound)
+    else:
+        row_values = itertools.product(range(1, bound + 1), repeat=n)
+        forms = itertools.combinations_with_replacement(row_values, n)
+    for form in forms:
         rows = list(form)
         for q in other_orders:
             if sorted(map(q, rows)) < rows:
@@ -761,6 +767,19 @@ def finite_termination_search(
     for limit in limits:
         limits[limit] = PositiveMatrix([list(map(values.__getitem__, row)) for row in limit])
     return [SearchHit(PositiveMatrix(exact(member)), steps, limits[limit]) for member, steps, limit in found]
+
+
+def _two_by_two_forms(bound):
+    """The sorted-row 2x2 forms, entries 1..bound, that the closed rule
+    accepts, once each, in enumeration order: the rows of a hit share a
+    product (L = 1) or a reduced ratio (L = 2), and only equal rows both."""
+    classes = {}
+    for a, b in itertools.product(range(1, bound + 1), repeat=2):
+        g = gcd(a, b)
+        for key in (a * b, (a // g, b // g)):
+            classes.setdefault(key, []).append((a, b))
+    pairs = (itertools.combinations_with_replacement(rows, 2) for rows in classes.values())
+    return sorted(set(itertools.chain.from_iterable(pairs)))
 
 
 def _two_step_length(rows):

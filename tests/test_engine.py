@@ -45,6 +45,7 @@ from sinkhornlab.engine import (
     _integer_row,
     _pairs,
     _steps_until_doubly_stochastic,
+    _two_by_two_forms,
     _two_step_length,
 )
 
@@ -1177,6 +1178,10 @@ class TestSearch:
             (2, 5, {}),
             (2, 5, {"start_side": StartSide.ROW_FIRST}),
             (2, 3, {}),
+            (2, 1, {}),
+            (2, 1, {"start_side": StartSide.ROW_FIRST}),
+            (2, 2, {}),
+            (2, 2, {"start_side": StartSide.ROW_FIRST}),
             # the search stops every run by step 2, the reference runs
             # each candidate to 64 steps or the bits cap; a cap equal to
             # the candidate count accepts the search
@@ -1191,6 +1196,15 @@ class TestSearch:
         hits = finite_termination_search(n, bound, **kwargs)
         side = kwargs.get("start_side", StartSide.COLUMN_FIRST)
         assert [(h.matrix, h.length, h.limit) for h in hits] == _reference_search(n, bound, side)
+
+    def test_two_by_two_candidates_are_the_forms_the_rule_accepts(self):
+        # the 2x2 walk's candidates, against the rule over every sorted-row form
+        for bound in range(1, 21):
+            forms = _two_by_two_forms(bound)
+            assert len(set(forms)) == len(forms)
+            row_values = itertools.product(range(1, bound + 1), repeat=2)
+            accepted = [f for f in itertools.combinations_with_replacement(row_values, 2) if _two_step_length(f)]
+            assert forms == accepted
 
     @pytest.mark.parametrize("side", list(StartSide))
     def test_one_step_hits_are_the_one_step_catalog(self, side):
@@ -1330,10 +1344,11 @@ class TestSearch:
         assert str(info.value) == "the exact run of ((1, 1), (2, 2)) does not terminate at step 1"
 
     def test_a_miss_named_a_hit_raises(self, monkeypatch):
+        # a 2x2 miss is never a candidate; the n >= 3 walk hands misses to the test
         monkeypatch.setattr(engine, "_two_step_length", lambda rows: _two_step_length(rows) or 2)
         with pytest.raises(AssertionError) as info:
-            finite_termination_search(2, 2)
-        assert str(info.value) == "the exact run of ((1, 1), (1, 2)) does not terminate at step 2"
+            finite_termination_search(3, 2)
+        assert str(info.value) == "the exact run of ((1, 1, 1), (1, 1, 1), (1, 1, 2)) does not terminate at step 2"
 
     def test_a_regular_two_step_limit_raises(self, monkeypatch):
         monkeypatch.setattr(engine, "_determinant", lambda rows: F(1))
