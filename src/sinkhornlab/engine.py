@@ -496,30 +496,36 @@ _UNIT_2X2 = {"row": [(1, 1)] * 2, "col": [(1, 1)] * 2}
 
 
 def _odds_steps(rows, side: str):
-    """_exact_steps(rows, side, _UNIT_2X2) on 2x2 rows, on the paper's
-    odds map from step 2 on: the same lines, sides and factors, and gaps
-    equal as Fractions, for five gcds a step in place of about 18.
+    """_exact_steps(rows, side, _UNIT_2X2) on 2x2 rows: the same lines
+    (the same container at step 0), sides and factors, and gaps equal as
+    Fractions, on the paper's odds map from step 2 on, for five gcds a
+    step in place of about 18.
 
-    After a step the lines are [(p, q), (1-p, 1-q)] along either side,
+    Step 1 divides each line by its sum (the sum's pair reversed). After
+    any step the lines are [(p, q), (1-p, 1-q)] along either side,
     p = X/(X + Y) = X/S and q = U/(U + V) = U/T in lowest terms, with
     odds x = X/Y and U/V = x/kappa for the cross ratio kappa = k/kd that
     scaling keeps. A step maps x to p/q = (x + kappa)/(x + 1). Its
     factors 1/(p + q) = ST/N and ST/(2ST - N), N = XT + US, share one
     gcd, and it leaves the other side the gap |p + q - 1| = |XU - YV|/(ST).
     """
-    for step in itertools.islice(_exact_steps(rows, side, _UNIT_2X2), 2):
-        yield step
-    (((X, S), (U, T)), _), side, *_ = step
-    k, kd = _product((X, S - X), (T - U, U))
+    lines = list(zip(*rows)) if side == "col" else rows
+    sums = list(map(_pair_sum, lines))
+    gap, other_gap = (_max_gap(s, _UNIT_2X2[side]) for s in (sums, map(_pair_sum, zip(*lines))))
+    yield (lines, side, other_gap, gap, None) if side == "col" else (lines, side, gap, other_gap, None)
+    factors = [s[::-1] for s in sums]
+    ((X, S), (Y, _)), ((U, T), (V, _)) = ([_product(x, f) for x in line] for line, f in zip(lines, factors))
+    k, kd = _product((X, Y), (V, U))
     while True:
+        side = _OTHER_SIDE[side]
+        gap, lines = (abs(X * U - Y * V), S * T), [((X, S), (U, T)), ((Y, S), (V, T))]
+        yield (lines, side, gap, (0, 1), factors) if side == "row" else (lines, side, (0, 1), gap, factors)
         D, N = S * T, X * T + U * S
         g = gcd(N, D)
         factors = [(D // g, N // g), (D // g, (2 * D - N) // g)]
         X, Y = _product((X, S), (T, U))
         U, V = _product((X, Y), (kd, k))
-        S, T, side = X + Y, U + V, _OTHER_SIDE[side]
-        gap, lines = (abs(X * U - Y * V), S * T), [((X, S), (U, T)), ((Y, S), (V, T))]
-        yield (lines, side, gap, (0, 1), factors) if side == "row" else (lines, side, (0, 1), gap, factors)
+        S, T = X + Y, U + V
 
 
 def _pairs(values):
@@ -675,12 +681,14 @@ def finite_termination_search(
     identity on its entries: _two_step_length, the paper's closed rule
     at n = 2 and the general integer test at larger n. Only a hit form
     runs sinkhorn's exact step loop, column-first, up to step 2 and
-    without records or diagonals; it gives the limit, must terminate at
-    the step the test named, and at L = 2 must end on a singular limit,
-    a determinant taken in integers (_integer_row, _determinant), or an
-    AssertionError names the form. F^T's row-first run is F's
-    column-first run transposed, and transposition maps orbits onto
-    orbits, so a row-first search transposes each hit form and its limit.
+    without records or diagonals, at n = 2 on the odds run sinkhorn
+    takes for exact 2x2 unit-margin input (_odds_steps). The run gives
+    the limit, must terminate at the step the test named, and at L = 2
+    must end on a singular limit, a determinant taken in integers
+    (_integer_row, _determinant), or an AssertionError names the form.
+    F^T's row-first run is F's column-first run transposed, and
+    transposition maps orbits onto orbits, so a row-first search
+    transposes each hit form and its limit.
 
     Row and column scalings commute with row and column permutations:
     P @ A @ Q takes the same steps, with the same entry bit sizes, as A,
@@ -698,8 +706,9 @@ def finite_termination_search(
     limit L @ Q (equal forms have equal limits, by the argument above),
     then every row order of each, P @ F @ Q with P @ L @ Q. Candidates
     of the other orbits cost nothing. Limits stay integer pairs until
-    the end, where each distinct limit is built once and shared. Hits
-    come in enumeration order.
+    the end, where each distinct limit is built once and shared; each
+    hit's matrix is built once, unchecked, from the search's own table
+    of positive Fractions. Hits come in enumeration order.
     """
     if n < 2:
         raise ValueError(f"search needs n >= 2, got {n}")
@@ -716,15 +725,16 @@ def finite_termination_search(
     units = {"row": [(1, 1)] * n, "col": [(1, 1)] * n}
     # one getter per order permutes a row's entries, or a matrix's rows
     orders = [itemgetter(*p) for p in itertools.permutations(range(n))]
-    # fractions[v] == v, built once: PositiveMatrix keeps all-Fraction rows as
-    # they are, where it would convert every int entry
+    # fractions[v] == v, built once: a hit's entries, plain positive Fractions
+    # from fractions[1..bound], need none of PositiveMatrix's checks
     fractions = list(map(Fraction, range(bound + 1)))
 
-    def exact(rows):
-        return [list(map(fractions.__getitem__, row)) for row in rows]
+    def hit_matrix(rows):
+        return PositiveMatrix._unchecked(tuple([tuple(map(fractions.__getitem__, row)) for row in rows]))
 
     def orbit_hits(form, steps):
-        run = _exact_steps([[(v, 1) for v in row] for row in form], "col", units)
+        rows = [[(v, 1) for v in row] for row in form]
+        run = _odds_steps(rows, "col") if n == 2 else _exact_steps(rows, "col", units)
         # no run first terminates after step 2 (the proof in sinkhorn's docstring)
         for step, (lines, side, row_gap, col_gap, _) in zip(range(3), run):
             if not row_gap[0] and not col_gap[0]:
@@ -766,7 +776,7 @@ def finite_termination_search(
     values = {x: Fraction(*x) for x in {e for limit in limits for row in limit for e in row}}
     for limit in limits:
         limits[limit] = PositiveMatrix([list(map(values.__getitem__, row)) for row in limit])
-    return [SearchHit(PositiveMatrix(exact(member)), steps, limits[limit]) for member, steps, limit in found]
+    return [SearchHit(hit_matrix(member), steps, limits[limit]) for member, steps, limit in found]
 
 
 def _two_by_two_forms(bound):

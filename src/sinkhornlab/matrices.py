@@ -130,6 +130,15 @@ class PositiveMatrix:
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "exact", exact)
 
+    @classmethod
+    def _unchecked(cls, grid: tuple[tuple[Fraction, ...], ...]) -> "PositiveMatrix":
+        """The exact matrix over `grid`, a tuple of equal-length tuples of
+        positive plain Fractions, stored as given without __init__'s checks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "exact", True)
+        return self
+
     @property
     def rows(self) -> int:
         return len(self.entries)

@@ -497,8 +497,20 @@ class TestSearch:
         "argv,digest",
         [
             (
+                "search --n 2 --bound 10 --start-side column --format json",
+                "0b773f4344a651787baa71d993afef743d6d9d5f0ef55f84cb3320601f5b78b2",
+            ),
+            (
                 "search --n 2 --bound 10 --start-side row --format json",
                 "a6e0da3e53bc0f0e4bc3078574bf75fd6d1156296886fc0bd85c1855616454d4",
+            ),
+            (
+                "search --n 3 --bound 2 --start-side column --format json",
+                "9b6ed1670961fdd1b8225a3f17aadc7f0458d0bdc4504c756d3c8d5a0cff7f9b",
+            ),
+            (
+                "search --n 3 --bound 2 --start-side row --format json",
+                "0184cd49cc75df7649097983cd91854c0a1139374b21ffe829d7f255cc880782",
             ),
             (
                 "search --n 3 --bound 3 --format json",

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import importlib.util
 import itertools
@@ -995,6 +996,12 @@ class TestOddsSteps:
                 self._assert_same_steps([[a, b], [c, last]], side)
             self._assert_same_steps([[p, 1 - p], [1 - p, p]], side)
 
+    @pytest.mark.parametrize("side", ["col", "row"])
+    def test_search_forms(self, side):
+        # every 2x2 form the search confirms, as the integer pairs (v, 1) it runs on
+        for form in _two_by_two_forms(12):
+            self._assert_same_steps([list(map(F, row)) for row in form], side)
+
 
 class TestInvariance:
     def test_identity_scalings_give_zero_deviation(self):
@@ -1272,6 +1279,27 @@ class TestSearch:
         for h in hits:
             assert by_value.setdefault(h.limit, h.limit) is h.limit
         assert len(by_value) < len(hits)
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize("n,bound", [(2, b) for b in range(1, 13)] + [(3, 2), (3, 3), (4, 2)])
+    def test_every_hit_is_a_valid_exact_matrix(self, n, bound, side):
+        # hit matrices skip PositiveMatrix's checks: each must pass them
+        for h in finite_termination_search(n, bound, start_side=side):
+            for A in (h.matrix, h.limit):
+                assert A == PositiveMatrix(A.entries) and A.exact is True
+                assert type(A.entries) is tuple and all(type(row) is tuple for row in A.entries)
+                assert all(type(x) is F and x > 0 for row in A.entries for x in row)
+
+    def test_only_the_search_builds_unchecked_matrices(self):
+        # PositiveMatrix._unchecked skips every check of __init__: in the
+        # package only the search calls it, for the hit matrices it built
+        users = set()
+        for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if "_unchecked" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                        users.add((path.name, getattr(top, "name", None)))
+        assert users == {("engine.py", "finite_termination_search")}
 
     def test_small_catalog_contents(self):
         hits = finite_termination_search(2, 4, start_side=StartSide.ROW_FIRST)
