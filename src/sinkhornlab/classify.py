@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .closed_form import _alpha_beta_matrix
-from .engine import StartSide, termination_length_2x2, _require_exact_2x2, _two_step_length
+from .engine import StartSide, termination_length_2x2, _require_exact_2x2, _require_start_side, _two_step_length
 from .matrices import PositiveMatrix
 
 _FLAT_LIMIT = _alpha_beta_matrix(Fraction(1, 2), Fraction(1, 2))
@@ -100,9 +100,11 @@ def classify_2x2(
     validates the result before it is returned.
     """
     a, b, c, d = _require_exact_2x2(A)
-    one_step, one_key, two_step, two_key = _NAMES[start_side]
     if start_side is StartSide.ROW_FIRST:
         b, c = c, b
+    elif start_side is not StartSide.COLUMN_FIRST:
+        _require_start_side(start_side)
+    one_step, one_key, two_step, two_key = _NAMES[start_side]
     na, da, nb, db = a.numerator, a.denominator, b.numerator, b.denominator
     nc, dc, nd, dd = c.numerator, c.denominator, d.numerator, d.denominator
     x, y = na * dc, nc * da  # the integer matrix's first column

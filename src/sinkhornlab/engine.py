@@ -71,6 +71,12 @@ class StartSide(enum.Enum):
     ROW_FIRST = "row"
 
 
+def _require_start_side(start_side) -> None:
+    """A start side that is not a StartSide would pass as one of them."""
+    if not isinstance(start_side, StartSide):
+        raise ValueError(f"start_side must be a StartSide, got {start_side!r}")
+
+
 class Status(enum.Enum):
     #: exact regime: the iterate hit its margins exactly at step L
     TERMINATED_FINITE = "terminated-finite"
@@ -212,6 +218,7 @@ def sinkhorn(
         raise ValueError(f"max_steps must be an int, got {max_steps!r}")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _require_start_side(cfg.start_side)
     first = "col" if cfg.start_side is StartSide.COLUMN_FIRST else "row"
     if A.exact:
         run = _exact_run(A, first, r_t, c_t, capture_matrices)
@@ -422,16 +429,17 @@ def _validated(step: int, cur, *diagonals):
 
 
 def _exact_run(A, first: str, r_t, c_t, capture_matrices):
-    """The exact steps from A, on those of _exact_steps, or of
-    _odds_steps at 2x2 with unit targets. Fractions are built only for
-    what the run returns: each snapshot, the limit and both diagonals
-    here, and each record's errors when _exact_record builds it. An
-    entry keeps the unreduced gaps and the lines, and the met test reads
-    each gap's numerator, 0 exactly when the side meets its targets.
+    """The exact steps from A: step 0 here, then from its lines and sums
+    those of _exact_steps, or of _odds_steps at 2x2 with unit targets.
+    Fractions are built only for what the run returns: each snapshot,
+    the limit and both diagonals here, and each record's errors when
+    _exact_record builds it. An entry keeps the unreduced gaps and the
+    lines, and the met test reads each gap's numerator, 0 exactly when
+    the side meets its targets.
 
-    An exact step meets its own side's targets exactly, so the margin
-    test after it computes only the other side's sums and records the
-    side just scaled with error exactly 0; step 0 computes both.
+    Step 0 computes both sides' sums. An exact step meets its own side's
+    targets exactly, so the margin test after it computes only the other
+    side's sums and records the side just scaled with error exactly 0.
 
     The run keeps only the first column coordinate r_0's step factors and
     multiplies them out once, with a single gcd. The exact limit
@@ -443,7 +451,12 @@ def _exact_run(A, first: str, r_t, c_t, capture_matrices):
     # the factors of r_0, after a 1 that keeps it at 1 when no step scaled columns
     r0_factors = [(1, 1)]
     rows = list(map(_pairs, A.entries))
-    run = _odds_steps(rows, first) if targets == _UNIT_2X2 else _exact_steps(rows, first, targets)
+    lines = list(zip(*rows)) if first == "col" else rows
+    sums = list(map(_pair_sum, lines))
+    gaps = {first: _max_gap(sums, targets[first])}
+    gaps[_OTHER_SIDE[first]] = _max_gap(map(_pair_sum, zip(*lines)), targets[_OTHER_SIDE[first]])
+    steps = _odds_steps(lines, first, sums) if targets == _UNIT_2X2 else _exact_steps(lines, first, sums, targets)
+    run = itertools.chain([(lines, first, gaps["row"], gaps["col"], None)], steps)
 
     def finish():
         limit = _fraction_rows(lines, side)
@@ -460,46 +473,38 @@ def _exact_run(A, first: str, r_t, c_t, capture_matrices):
         yield entry, row_gap[0], col_gap[0], finish
 
 
-def _exact_steps(rows, side: str, targets):
-    """The exact steps from `rows`, the first scaling `side`, against
-    targets {"row": r, "col": c}. Entries, sums, targets and factors are
-    (numerator, denominator) pairs of ints in lowest terms, reduced with
-    math.gcd after each sum and product as Fraction reduces them. Yields,
-    at step 0 and after each step, without end: the lines, the side the
-    next step scales, the row and column gaps as unreduced pairs, and the
-    factors of the step just taken (None at step 0).
+def _exact_steps(lines, side: str, sums, targets):
+    """The exact steps from step 1 on, the first scaling `side`, against
+    targets {"row": r, "col": c}, from step 0's `lines` along `side` and
+    their `sums`. Entries, sums, targets and factors are (numerator,
+    denominator) pairs of ints in lowest terms, reduced with math.gcd
+    after each sum and product as Fraction reduces them. Yields, after
+    each step, without end: the lines, the side the next step scales,
+    the row and column gaps as unreduced pairs, and the factors of the
+    step just taken.
 
     The iterate is held as lines along the side the next step scales. A
     step multiplies each line by its factor target / sum and transposes,
     so the new lines run along the other side, whose sums are the only
     margins the step moved off their targets.
     """
-    lines = list(zip(*rows)) if side == "col" else rows
-    sums = list(map(_pair_sum, lines))
-    gaps = {
-        side: _max_gap(sums, targets[side]),
-        _OTHER_SIDE[side]: _max_gap(map(_pair_sum, zip(*lines)), targets[_OTHER_SIDE[side]]),
-    }
-    factors = None
     while True:
-        yield lines, side, gaps["row"], gaps["col"], factors
         factors = [_product(t, s[::-1]) for t, s in zip(targets[side], sums)]
         lines = [[_product(x, f) for x in line] for line, f in zip(lines, factors)]
-        gaps[side] = (0, 1)
         side = _OTHER_SIDE[side]
         lines = list(zip(*lines))
         sums = list(map(_pair_sum, lines))
-        gaps[side] = _max_gap(sums, targets[side])
+        gap = _max_gap(sums, targets[side])
+        yield (lines, side, gap, (0, 1), factors) if side == "row" else (lines, side, (0, 1), gap, factors)
 
 
 _UNIT_2X2 = {"row": [(1, 1)] * 2, "col": [(1, 1)] * 2}
 
 
-def _odds_steps(rows, side: str):
-    """_exact_steps(rows, side, _UNIT_2X2) on 2x2 rows: the same lines
-    (the same container at step 0), sides and factors, and gaps equal as
-    Fractions, on the paper's odds map from step 2 on, for five gcds a
-    step in place of about 18.
+def _odds_steps(lines, side: str, sums):
+    """_exact_steps(lines, side, sums, _UNIT_2X2) on 2x2 lines: the same
+    lines, sides and factors, and gaps equal as Fractions, on the paper's
+    odds map from step 2 on, for five gcds a step in place of about 18.
 
     Step 1 divides each line by its sum (the sum's pair reversed). After
     any step the lines are [(p, q), (1-p, 1-q)] along either side,
@@ -509,10 +514,6 @@ def _odds_steps(rows, side: str):
     factors 1/(p + q) = ST/N and ST/(2ST - N), N = XT + US, share one
     gcd, and it leaves the other side the gap |p + q - 1| = |XU - YV|/(ST).
     """
-    lines = list(zip(*rows)) if side == "col" else rows
-    sums = list(map(_pair_sum, lines))
-    gap, other_gap = (_max_gap(s, _UNIT_2X2[side]) for s in (sums, map(_pair_sum, zip(*lines))))
-    yield (lines, side, other_gap, gap, None) if side == "col" else (lines, side, gap, other_gap, None)
     factors = [s[::-1] for s in sums]
     ((X, S), (Y, _)), ((U, T), (V, _)) = ([_product(x, f) for x in line] for line, f in zip(lines, factors))
     k, kd = _product((X, Y), (V, U))
@@ -638,6 +639,8 @@ def termination_length_2x2(
     a, b, c, d = _require_exact_2x2(A)
     if start_side is StartSide.ROW_FIRST:
         b, c = c, b
+    elif start_side is not StartSide.COLUMN_FIRST:
+        _require_start_side(start_side)
     # doubly stochastic iff d == a, c == b and a + b == 1
     if a == d and b == c and a + b == 1:
         return 0
@@ -672,7 +675,8 @@ def finite_termination_search(
 
     Raises ValueError when the enumeration would exceed candidate_cap
     matrices, or the n! permutation orders that the walk applies to each
-    form would; neither count is built in full to be compared.
+    form would, neither count built in full to be compared; and for a
+    candidate_cap not an int or a start_side not a StartSide.
 
     A terminating run has terminated by step 2, and one that first
     terminates at step 2 ends on a singular limit (the proof in
@@ -680,7 +684,8 @@ def finite_termination_search(
     decided column-first, before any Fraction is built, by an integer
     identity on its entries: _two_step_length, the paper's closed rule
     at n = 2 and the general integer test at larger n. Only a hit form
-    runs sinkhorn's exact step loop, column-first, up to step 2 and
+    runs sinkhorn's exact step loop, column-first, from step 1 (each row
+    sums to at least n >= 2, so step 0 misses unit margins) up to step 2,
     without records or diagonals, at n = 2 on the odds run sinkhorn
     takes for exact 2x2 unit-margin input (_odds_steps). The run gives
     the limit, must terminate at the step the test named, and at L = 2
@@ -704,16 +709,22 @@ def finite_termination_search(
     bound^2 and the hits, not bound^4. A hit form's orbit is then
     expanded: first its distinct column orders F @ Q, each with the
     limit L @ Q (equal forms have equal limits, by the argument above),
-    then every row order of each, P @ F @ Q with P @ L @ Q. Candidates
-    of the other orbits cost nothing. Limits stay integer pairs until
-    the end, where each distinct limit is built once and shared; each
-    hit's matrix is built once, unchecked, from the search's own table
-    of positive Fractions. Hits come in enumeration order.
+    then every row order of each, P @ F @ Q with P @ L @ Q; at n = 2
+    those are the four members written out. Candidates of the other
+    orbits cost nothing. Limits stay integer pairs until the end, where
+    each distinct limit is built once and shared, unchecked, after its
+    pairs are checked positive, or a NonPositiveEntryError names one.
+    Each hit's matrix is built once, unchecked, from the search's own
+    table of rows of positive Fractions. Hits come in enumeration order.
     """
     if n < 2:
         raise ValueError(f"search needs n >= 2, got {n}")
     if bound < 1:
         raise ValueError(f"search needs bound >= 1, got {bound}")
+    if isinstance(candidate_cap, bool) or not isinstance(candidate_cap, int):
+        raise ValueError(f"candidate_cap must be an int, got {candidate_cap!r}")
+    _require_start_side(start_side)
+    row_first = start_side is StartSide.ROW_FIRST
     # past the cap's bit length 2 ** (n * n) alone exceeds it: the power is
     # built only while it is small
     if bound > 1 and n * n >= candidate_cap.bit_length() or bound ** (n * n) > candidate_cap:
@@ -725,18 +736,17 @@ def finite_termination_search(
     units = {"row": [(1, 1)] * n, "col": [(1, 1)] * n}
     # one getter per order permutes a row's entries, or a matrix's rows
     orders = [itemgetter(*p) for p in itertools.permutations(range(n))]
-    # fractions[v] == v, built once: a hit's entries, plain positive Fractions
-    # from fractions[1..bound], need none of PositiveMatrix's checks
-    fractions = list(map(Fraction, range(bound + 1)))
-
-    def hit_matrix(rows):
-        return PositiveMatrix._unchecked(tuple([tuple(map(fractions.__getitem__, row)) for row in rows]))
+    # each row of entries 1..bound as plain positive Fractions, built once: a
+    # hit's rows come from here and need none of PositiveMatrix's checks
+    values = range(1, bound + 1)
+    fraction_rows = dict(zip(itertools.product(values, repeat=n), itertools.product(map(Fraction, values), repeat=n)))
 
     def orbit_hits(form, steps):
-        rows = [[(v, 1) for v in row] for row in form]
-        run = _odds_steps(rows, "col") if n == 2 else _exact_steps(rows, "col", units)
-        # no run first terminates after step 2 (the proof in sinkhorn's docstring)
-        for step, (lines, side, row_gap, col_gap, _) in zip(range(3), run):
+        cols = list(zip(*form))
+        lines, sums = [[(v, 1) for v in col] for col in cols], [(sum(col), 1) for col in cols]
+        run = _odds_steps(lines, "col", sums) if n == 2 else _exact_steps(lines, "col", sums, units)
+        # step 0 never meets unit margins, and no run first terminates after step 2
+        for step, (lines, side, row_gap, col_gap, _) in zip(range(1, 3), run):
             if not row_gap[0] and not col_gap[0]:
                 break
         if row_gap[0] or col_gap[0] or step != steps:
@@ -745,12 +755,20 @@ def finite_termination_search(
         # a run that first terminates at step 2 ends on a singular limit
         if steps == 2 and _determinant(map(_integer_row, limit)) != 0:
             raise AssertionError(f"the exact run of {form} ends on a regular limit")
-        if start_side is StartSide.ROW_FIRST:
-            form, limit = tuple(zip(*form)), tuple(zip(*limit))
-        column_forms = {}
-        for q in orders:
-            column_forms.setdefault(tuple(map(q, form)), tuple(map(q, limit)))
-        orbit = {p(q_rows): p(q_limit) for q_rows, q_limit in column_forms.items() for p in orders}
+        if n == 2:
+            ((a, b), (c, d)), ((w, x), (y, z)) = form, limit
+            if row_first:  # F^T; a doubly stochastic 2x2 limit is its own transpose
+                b, c = c, b
+            # the four row and column orders, of which equal members have equal limits
+            orbit = {((a, b), (c, d)): ((w, x), (y, z)), ((b, a), (d, c)): ((x, w), (z, y)),
+                     ((c, d), (a, b)): ((y, z), (w, x)), ((d, c), (b, a)): ((z, y), (x, w))}
+        else:
+            if row_first:
+                form, limit = tuple(zip(*form)), tuple(zip(*limit))
+            column_forms = {}
+            for q in orders:
+                column_forms.setdefault(tuple(map(q, form)), tuple(map(q, limit)))
+            orbit = {p(q_rows): p(q_limit) for q_rows, q_limit in column_forms.items() for p in orders}
         return ((member, steps, member_limit) for member, member_limit in orbit.items())
 
     found = []
@@ -758,8 +776,7 @@ def finite_termination_search(
     if n == 2:
         forms = _two_by_two_forms(bound)
     else:
-        row_values = itertools.product(range(1, bound + 1), repeat=n)
-        forms = itertools.combinations_with_replacement(row_values, n)
+        forms = itertools.combinations_with_replacement(itertools.product(values, repeat=n), n)
     for form in forms:
         rows = list(form)
         for q in other_orders:
@@ -771,12 +788,18 @@ def finite_termination_search(
                 found += orbit_hits(form, steps)
     # entry order is enumeration order, and no two hits share entries
     found.sort(key=itemgetter(0))
-    # one matrix per distinct limit, from one Fraction per distinct entry
+    # one matrix per distinct limit, from one Fraction per distinct entry, a reduced
+    # pair checked positive here, so PositiveMatrix's checks are skipped (even under -O)
     limits = dict.fromkeys(limit for *_, limit in found)
-    values = {x: Fraction(*x) for x in {e for limit in limits for row in limit for e in row}}
+    pairs = {e for limit in limits for row in limit for e in row}
+    if min(itertools.chain.from_iterable(pairs)) <= 0:
+        raise NonPositiveEntryError(f"a search limit holds the non-positive pair {min(pairs, key=min)}")
+    entries = {x: Fraction(*x) for x in pairs}
     for limit in limits:
-        limits[limit] = PositiveMatrix([list(map(values.__getitem__, row)) for row in limit])
-    return [SearchHit(hit_matrix(member), steps, limits[limit]) for member, steps, limit in found]
+        limits[limit] = PositiveMatrix._unchecked(tuple([tuple(map(entries.__getitem__, row)) for row in limit]))
+    fraction_row = fraction_rows.__getitem__
+    return [SearchHit(PositiveMatrix._unchecked(tuple(map(fraction_row, hit))), steps, limits[limit])
+            for hit, steps, limit in found]
 
 
 def _two_by_two_forms(bound):

@@ -121,6 +121,12 @@ class TestVerdicts:
         with pytest.raises(RegimeError):
             classify_2x2(M((1.0, 2.0), (3.0, 4.0)))
 
+    @pytest.mark.parametrize("side", ["row", "column", None, ["row"]])
+    def test_rejects_a_start_side_that_is_not_a_start_side(self, side):
+        # "row" died with KeyError: 'row'
+        with pytest.raises(ValueError, match=rf"^start_side must be a StartSide, got {re.escape(repr(side))}$"):
+            classify_2x2(M((2, 2), (1, 1)), side)
+
 
 class TestSoundness:
     def test_disagreement_with_the_engine_is_an_error(self, monkeypatch):

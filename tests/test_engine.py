@@ -259,6 +259,14 @@ def test_bool_step_budget_is_rejected(A):
         sinkhorn(A, IterationConfig(max_steps=True))
 
 
+@pytest.mark.parametrize("A", [M((2, 2), (1, 1)), M((2.0, 2.0), (1.0, 1.0))], ids=["exact", "approx"])
+@pytest.mark.parametrize("side", ["column", "row", None])
+def test_a_start_side_that_is_not_a_start_side_is_rejected(A, side):
+    # "column" ran row-first
+    with pytest.raises(ValueError, match=rf"^start_side must be a StartSide, got {side!r}$"):
+        sinkhorn(A, IterationConfig(start_side=side))
+
+
 @pytest.mark.parametrize(
     "tol,shown", [(True, "True"), (False, "False"), ("x", "'x'"), (1j, "1j")], ids=repr
 )
@@ -955,15 +963,46 @@ SWEEP_RATIONALS = sorted({F(p, q) for p in range(1, 7) for q in range(1, 7)})
 class TestOddsSteps:
     """The 2x2 unit-margin steps on the odds map against the general exact
     steps, step by step: the same lines, sides and factors, and gaps equal
-    as Fractions, for 100 steps from either side."""
+    as Fractions, for 100 steps from either side. Both start at step 1,
+    from the lines and sums of step 0, which _exact_run takes for both."""
 
     @staticmethod
     def _assert_same_steps(rows, side):
-        pairs = [_pairs(row) for row in rows]
-        expected = engine._exact_steps(pairs, side, engine._UNIT_2X2)
-        for step, got, want in zip(range(101), engine._odds_steps(pairs, side), expected):
+        A = PositiveMatrix(rows)
+        pairs = [_pairs(row) for row in A.entries]
+        ones = [F(1), F(1)]
+        (scaled, row_gap, col_gap, lines, _), *_ = next(engine._exact_run(A, side, ones, ones, False))
+        assert scaled == "-" and lines == (list(zip(*pairs)) if side == "col" else pairs)
+        assert F(*row_gap) == max(abs(sum(row) - 1) for row in A.entries), (rows, side)
+        assert F(*col_gap) == max(abs(sum(col) - 1) for col in zip(*A.entries)), (rows, side)
+        sums = list(map(engine._pair_sum, lines))
+        expected = engine._exact_steps(lines, side, sums, engine._UNIT_2X2)
+        for step, got, want in zip(range(1, 101), engine._odds_steps(lines, side, sums), expected):
             assert (got[0], got[1], got[4]) == (want[0], want[1], want[4]), (rows, side, step)
             assert [F(*gap) for gap in got[2:4]] == [F(*gap) for gap in want[2:4]], (rows, side, step)
+
+    @staticmethod
+    def _assert_search_run(form, side):
+        # the search's run of an integer form: the generator driven from step 1
+        # on pairs (v, 1), against sinkhorn's exact run of the form from step 1
+        # on, whose factors are each line's target 1 over its sum the step before
+        n = len(form)
+        lines = [[(v, 1) for v in line] for line in (zip(*form) if side == "col" else form)]
+        sums = [(sum(v for v, _ in line), 1) for line in lines]
+        units = {"row": [(1, 1)] * n, "col": [(1, 1)] * n}
+        got = engine._odds_steps(lines, side, sums) if n == 2 else engine._exact_steps(lines, side, sums, units)
+        ones = [F(1)] * n
+        run = engine._exact_run(PositiveMatrix(form), side, ones, ones, False)
+        before = next(run)[0][3]
+        for step, (lines, next_side, *gaps, factors), ((scaled, *want_gaps, want_lines, _), *_) in zip(
+            range(1, 5), got, run
+        ):
+            assert scaled == (side if step % 2 else engine._OTHER_SIDE[side]), (form, side, step)
+            assert (lines, next_side) == (want_lines, engine._OTHER_SIDE[scaled]), (form, side, step)
+            want_factors = [1 / sum(F(*x) for x in line) for line in before]
+            assert factors == [(f.numerator, f.denominator) for f in want_factors], (form, side, step)
+            assert [F(*gap) for gap in gaps] == [F(*gap) for gap in want_gaps], (form, side, step)
+            before = want_lines
 
     @pytest.mark.parametrize("side", ["col", "row"])
     @pytest.mark.parametrize(
@@ -1001,6 +1040,14 @@ class TestOddsSteps:
         # every 2x2 form the search confirms, as the integer pairs (v, 1) it runs on
         for form in _two_by_two_forms(12):
             self._assert_same_steps([list(map(F, row)) for row in form], side)
+
+    @pytest.mark.parametrize("side", ["col", "row"])
+    def test_search_runs_from_step_one(self, side):
+        # every 2x2 form the search confirms at bound 12, and every sorted-row
+        # 3x3 form it walks at bound 2
+        forms_3x3 = itertools.combinations_with_replacement(itertools.product((1, 2), repeat=3), 3)
+        for form in itertools.chain(_two_by_two_forms(12), forms_3x3):
+            self._assert_search_run(form, side)
 
 
 class TestInvariance:
@@ -1066,6 +1113,13 @@ class TestTerminationLength2x2:
     def test_requires_exact_2x2(self):
         with pytest.raises(DimensionError):
             termination_length_2x2(M((1, 2, 3), (4, 5, 6), (7, 8, 9)))
+
+    @pytest.mark.parametrize("side", ["row", "column", None])
+    def test_a_start_side_that_is_not_a_start_side_is_rejected(self, side):
+        # "row" answered 2, the column-first length; row-first is 1
+        assert termination_length_2x2(M((2, 2), (1, 1)), StartSide.ROW_FIRST) == 1
+        with pytest.raises(ValueError, match=rf"^start_side must be a StartSide, got {side!r}$"):
+            termination_length_2x2(M((2, 2), (1, 1)), side)
 
     @pytest.mark.parametrize("side", list(StartSide))
     def test_matches_the_reduced_pair_loop_on_small_rationals(self, side):
@@ -1292,7 +1346,8 @@ class TestSearch:
 
     def test_only_the_search_builds_unchecked_matrices(self):
         # PositiveMatrix._unchecked skips every check of __init__: in the
-        # package only the search calls it, for the hit matrices it built
+        # package only the search calls it, for the hit matrices it built from
+        # its own Fractions and for the limits, whose integer pairs it checks
         users = set()
         for path in sorted(Path(engine.__file__).parent.glob("*.py")):
             for top in ast.parse(path.read_text()).body:
@@ -1396,6 +1451,45 @@ class TestSearch:
         assert run.stderr.splitlines()[-1] == (
             "AssertionError: the exact run of ((1, 1), (1, 1)) does not terminate at step 2"
         )
+
+    @pytest.mark.parametrize("pair", [(0, 1), (-1, 2), (1, -2)])
+    def test_a_non_positive_limit_entry_raises(self, monkeypatch, pair):
+        # the limits skip PositiveMatrix's checks: the search checks their pairs
+        odds_steps = engine._odds_steps
+
+        def first_entry_replaced(lines, side, sums):
+            for lines, *rest in odds_steps(lines, side, sums):
+                yield ((pair, *lines[0][1:]), *lines[1:]), *rest
+
+        monkeypatch.setattr(engine, "_odds_steps", first_entry_replaced)
+        with pytest.raises(NonPositiveEntryError) as info:
+            finite_termination_search(2, 1)
+        assert str(info.value) == f"a search limit holds the non-positive pair {pair}"
+
+    def test_the_limit_check_holds_under_python_O(self):
+        probe = (
+            "import sinkhornlab.engine as e\n"
+            "steps = e._odds_steps\n"
+            "e._odds_steps = lambda *args: (((((0, 1), *l[0][1:]), *l[1:]), *rest) for l, *rest in steps(*args))\n"
+            "e.finite_termination_search(2, 1)\n"
+        )
+        run = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True)
+        assert run.returncode == 1
+        assert run.stderr.splitlines()[-1] == (
+            "sinkhornlab.matrices.NonPositiveEntryError: a search limit holds the non-positive pair (0, 1)"
+        )
+
+    @pytest.mark.parametrize("side", ["row", "column", None, 0])
+    def test_a_start_side_that_is_not_a_start_side_is_rejected(self, side):
+        # "row" returned the column-first catalog
+        with pytest.raises(ValueError, match=rf"^start_side must be a StartSide, got {side!r}$"):
+            finite_termination_search(2, 3, start_side=side)
+
+    @pytest.mark.parametrize("cap", [1e7, None, True, "10"])
+    def test_a_candidate_cap_that_is_not_an_int_is_rejected(self, cap):
+        # 1e7 and None raised AttributeError, and True was a cap of 1
+        with pytest.raises(ValueError, match=rf"^candidate_cap must be an int, got {cap!r}$"):
+            finite_termination_search(2, 1, candidate_cap=cap)
 
     def test_candidate_cap(self):
         with pytest.raises(ValueError):
