@@ -658,6 +658,8 @@ def termination_length_2x2(
 
 @dataclass(frozen=True)
 class SearchHit:
+    """A hit: its integer matrix, the step (1 or 2) that ends its exact run,
+    and that run's limit, one matrix shared by every hit with an equal limit."""
     matrix: PositiveMatrix
     length: int
     limit: PositiveMatrix
@@ -675,8 +677,8 @@ def finite_termination_search(
 
     Raises ValueError when the enumeration would exceed candidate_cap
     matrices, or the n! permutation orders that the walk applies to each
-    form would, neither count built in full to be compared; and for a
-    candidate_cap not an int or a start_side not a StartSide.
+    form would, neither count built in full to be compared; and for an
+    n, bound or candidate_cap not an int, or a start_side not a StartSide.
 
     A terminating run has terminated by step 2, and one that first
     terminates at step 2 ends on a singular limit (the proof in
@@ -687,10 +689,14 @@ def finite_termination_search(
     runs sinkhorn's exact step loop, column-first, from step 1 (each row
     sums to at least n >= 2, so step 0 misses unit margins) up to step 2,
     without records or diagonals, at n = 2 on the odds run sinkhorn
-    takes for exact 2x2 unit-margin input (_odds_steps). The run gives
-    the limit, must terminate at the step the test named, and at L = 2
-    must end on a singular limit, a determinant taken in integers
-    (_integer_row, _determinant), or an AssertionError names the form.
+    takes for exact 2x2 unit-margin input (_odds_steps). There the forms
+    (a b; c d) of one column-step class (a/g, c/g, b/h, d/h), g = gcd(a, c),
+    h = gcd(b, d), share a run: the class fixes the step-1 iterate, and
+    the odds map goes on from it alone (termination_length_2x2's cache
+    key). The run gives the limit, at L = 2 must end on a singular limit,
+    a determinant taken in integers (_integer_row, _determinant), and
+    must end at the step the test named for each form sharing it, or an
+    AssertionError names the form.
     F^T's row-first run is F's column-first run transposed, and
     transposition maps orbits onto orbits, so a row-first search
     transposes each hit form and its limit.
@@ -717,12 +723,13 @@ def finite_termination_search(
     Each hit's matrix is built once, unchecked, from the search's own
     table of rows of positive Fractions. Hits come in enumeration order.
     """
+    for name, value in ("n", n), ("bound", bound), ("candidate_cap", candidate_cap):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n < 2:
         raise ValueError(f"search needs n >= 2, got {n}")
     if bound < 1:
         raise ValueError(f"search needs bound >= 1, got {bound}")
-    if isinstance(candidate_cap, bool) or not isinstance(candidate_cap, int):
-        raise ValueError(f"candidate_cap must be an int, got {candidate_cap!r}")
     _require_start_side(start_side)
     row_first = start_side is StartSide.ROW_FIRST
     # past the cap's bit length 2 ** (n * n) alone exceeds it: the power is
@@ -740,23 +747,33 @@ def finite_termination_search(
     # hit's rows come from here and need none of PositiveMatrix's checks
     values = range(1, bound + 1)
     fraction_rows = dict(zip(itertools.product(values, repeat=n), itertools.product(map(Fraction, values), repeat=n)))
+    runs = {}  # by column-step class at n = 2, else by form: the step that ends the run, and its limit
 
     def orbit_hits(form, steps):
-        cols = list(zip(*form))
-        lines, sums = [[(v, 1) for v in col] for col in cols], [(sum(col), 1) for col in cols]
-        run = _odds_steps(lines, "col", sums) if n == 2 else _exact_steps(lines, "col", sums, units)
-        # step 0 never meets unit margins, and no run first terminates after step 2
-        for step, (lines, side, row_gap, col_gap, _) in zip(range(1, 3), run):
-            if not row_gap[0] and not col_gap[0]:
-                break
-        if row_gap[0] or col_gap[0] or step != steps:
+        key = form
+        if n == 2:  # the column step leaves (a, c) / (a + c) and (b, d) / (b + d)
+            (a, b), (c, d) = form
+            g, h = gcd(a, c), gcd(b, d)
+            key = a // g, c // g, b // h, d // h
+        if key not in runs:
+            cols = list(zip(*form))
+            lines, sums = [[(v, 1) for v in col] for col in cols], [(sum(col), 1) for col in cols]
+            run = _odds_steps(lines, "col", sums) if n == 2 else _exact_steps(lines, "col", sums, units)
+            # step 0 never meets unit margins, and no run first terminates after step 2
+            for step, (lines, side, row_gap, col_gap, _) in zip(range(1, 3), run):
+                if not row_gap[0] and not col_gap[0]:
+                    break
+            step = None if row_gap[0] or col_gap[0] else step
+            limit = tuple(lines) if side == "row" else tuple(zip(*lines))
+            # a run that first terminates at step 2 ends on a singular limit
+            if step == 2 and _determinant(map(_integer_row, limit)) != 0:
+                raise AssertionError(f"the exact run of {form} ends on a regular limit")
+            runs[key] = step, limit
+        step, limit = runs[key]
+        if step != steps:
             raise AssertionError(f"the exact run of {form} does not terminate at step {steps}")
-        limit = tuple(lines) if side == "row" else tuple(zip(*lines))
-        # a run that first terminates at step 2 ends on a singular limit
-        if steps == 2 and _determinant(map(_integer_row, limit)) != 0:
-            raise AssertionError(f"the exact run of {form} ends on a regular limit")
         if n == 2:
-            ((a, b), (c, d)), ((w, x), (y, z)) = form, limit
+            (w, x), (y, z) = limit
             if row_first:  # F^T; a doubly stochastic 2x2 limit is its own transpose
                 b, c = c, b
             # the four row and column orders, of which equal members have equal limits
@@ -864,6 +881,8 @@ def _determinant(rows) -> int:
     elimination: each entry stays a minor of the input, so every division
     is exact."""
     rows = [list(row) for row in rows]
+    if len(rows) == 2:  # ad - bc
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     sign, previous = 1, 1
     for k in range(len(rows)):
         pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)

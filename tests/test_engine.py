@@ -1433,6 +1433,34 @@ class TestSearch:
             finite_termination_search(3, 2)
         assert str(info.value) == "the exact run of ((1, 1, 1), (1, 1, 1), (1, 1, 2)) does not terminate at step 2"
 
+    @pytest.mark.parametrize("side", list(StartSide))
+    def test_a_shared_run_still_checks_every_orbit(self, monkeypatch, side):
+        # ((2, 2), (2, 2)) shares its column-step class, and so its run, with
+        # the earlier ((1, 1), (1, 1)) and ((1, 2), (1, 2)): its own named
+        # length is still compared with that run's terminating step
+        def two_for_twos(rows):
+            return 2 if rows == ((2, 2), (2, 2)) else _two_step_length(rows)
+
+        monkeypatch.setattr(engine, "_two_step_length", two_for_twos)
+        with pytest.raises(AssertionError) as info:
+            finite_termination_search(2, 2, start_side=side)
+        assert str(info.value) == "the exact run of ((2, 2), (2, 2)) does not terminate at step 2"
+
+    @pytest.mark.parametrize("side", list(StartSide))
+    @pytest.mark.parametrize("bound,runs", [(10, 63), (40, 979)])
+    def test_one_exact_run_per_column_step_class(self, monkeypatch, bound, runs, side):
+        # 189 and 4,152 hit orbits reach 63 and 979 distinct step-1 iterates
+        calls = []
+        odds_steps = engine._odds_steps
+
+        def counted(*args):
+            calls.append(args)
+            return odds_steps(*args)
+
+        monkeypatch.setattr(engine, "_odds_steps", counted)
+        finite_termination_search(2, bound, start_side=side)
+        assert len(calls) == runs
+
     def test_a_regular_two_step_limit_raises(self, monkeypatch):
         monkeypatch.setattr(engine, "_determinant", lambda rows: F(1))
         assert finite_termination_search(2, 1)  # a one-step hit takes no determinant
@@ -1441,16 +1469,18 @@ class TestSearch:
         assert str(info.value) == "the exact run of ((1, 1), (2, 2)) ends on a regular limit"
 
     def test_the_checks_hold_under_python_O(self):
-        probe = (
-            "import sinkhornlab.engine as e\n"
-            "e._two_step_length = lambda rows: 2\n"
-            "e.finite_termination_search(2, 2)\n"
-        )
-        run = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True)
-        assert run.returncode == 1
-        assert run.stderr.splitlines()[-1] == (
-            "AssertionError: the exact run of ((1, 1), (1, 1)) does not terminate at step 2"
-        )
+        # every form named 2, then only ((2, 2), (2, 2)), whose class ran before
+        probes = [("2", "((1, 1), (1, 1))"), ("2 if rows == ((2, 2), (2, 2)) else length(rows)", "((2, 2), (2, 2))")]
+        for named, form in probes:
+            probe = (
+                "import sinkhornlab.engine as e\n"
+                "length = e._two_step_length\n"
+                f"e._two_step_length = lambda rows: {named}\n"
+                "e.finite_termination_search(2, 2)\n"
+            )
+            run = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True)
+            assert run.returncode == 1
+            assert run.stderr.splitlines()[-1] == f"AssertionError: the exact run of {form} does not terminate at step 2"
 
     @pytest.mark.parametrize("pair", [(0, 1), (-1, 2), (1, -2)])
     def test_a_non_positive_limit_entry_raises(self, monkeypatch, pair):
@@ -1494,6 +1524,17 @@ class TestSearch:
     def test_candidate_cap(self):
         with pytest.raises(ValueError):
             finite_termination_search(3, 10, candidate_cap=1000)
+
+    @pytest.mark.parametrize(
+        "n,bound,bad",
+        [(2, True, "bound"), (2, 2.5, "bound"), (2.0, 3, "n"), (2, 3.0, "bound"), ("2", 3, "n"), (True, 2, "n")],
+    )
+    def test_a_size_or_bound_that_is_not_an_int_is_rejected(self, n, bound, bad):
+        # (2, True) searched bound 1, (True, 2) asked for n >= 2, and the
+        # others raised a bare TypeError
+        value = {"n": n, "bound": bound}[bad]
+        with pytest.raises(ValueError, match=rf"^{bad} must be an int, got {value!r}$"):
+            finite_termination_search(n, bound)
 
     def test_rejects_size_below_two_and_bound_below_one(self):
         with pytest.raises(ValueError, match=r"^search needs n >= 2, got 1$"):
